@@ -6,7 +6,8 @@ third-party binaries:
 * :func:`tableau_check` -- a complete, sound (within budget) graph tableau.
   Nodes are locally consistent, fully expanded formula sets; an accepting
   lasso is a reachable cycle fulfilling every Until-eventuality on it, found
-  via SCC analysis, and is returned directly as evidence.
+  on the fly by Couvreur's emptiness check while the graph is still being
+  built, and is returned directly as evidence.
 * :func:`lasso_search` -- iterative-deepening search over the same expansion
   graph for an accepting lasso of bounded total length; sat-only.
 * :func:`sat_shortcut` -- a cheap syntactic filter that proposes one-state
@@ -20,6 +21,7 @@ set of operands of X-formulas in a node.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -59,6 +61,9 @@ _MERGE_CAP = 100_000
 #: Obligation families larger than this make sat_shortcut give up.
 _FAMILY_CAP = 4096
 
+#: Expansion steps counted between two budget charges.
+_CHARGE_BATCH = 256
+
 
 class _Stop(Exception):
     def __init__(self, reason: str) -> None:
@@ -71,8 +76,10 @@ class Budget:
     """Work budget for a single check: node count, deadline, cancellation.
 
     ``deadline`` is an absolute ``time.monotonic()`` value.  The cancel
-    event is polled at every expansion step, so cancellation is honored
-    within well under 10 ms of work.
+    event and the deadline are polled on every :meth:`charge`; graph
+    expansion charges once every 256 expansion steps and at the end of each
+    expansion, so it notices them within 256 steps.  ``max_nodes`` stops
+    a search at exactly the step that exceeds it.
     """
 
     max_nodes: int | None = 1_000_000
@@ -88,6 +95,12 @@ class Budget:
             raise _Stop("timeout")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Stop("timeout")
+
+    def _batch(self) -> int:
+        """Steps to count before the next charge: never past ``max_nodes``."""
+        if self.max_nodes is None:
+            return _CHARGE_BATCH
+        return max(1, min(_CHARGE_BATCH, self.max_nodes + 1 - self.nodes))
 
 
 @dataclass(frozen=True)
@@ -245,6 +258,11 @@ class _Tableau:
         self.nodes: dict[int, int] = {}
         self.node_sets: list[int] = []
         self._succ: list[tuple[int, ...] | None] = []
+        # Acceptance mark per node id: bit i is set when the node does not
+        # owe Until i or fulfils it.  A cycle is accepting when the union
+        # of its marks is ``full_mark``.
+        self.marks: list[int] = []
+        self.full_mark = (1 << len(untils)) - 1
 
     # -- expansion ---------------------------------------------------------
 
@@ -256,14 +274,18 @@ class _Tableau:
             return cached
         kind, arg1, arg2 = self._kind, self._arg1, self._arg2
         clash, next_of, true_bit = self._clash, self._next_of, self._true_bit
-        charge = self.budget.charge
+        budget = self.budget
+        steps, batch = 0, budget._batch()
         out: dict[int, None] = {}
         stack: list[tuple[int, int]] = [(0, obligations)]
         while stack:
             done, todo = stack.pop()
             # Follow one branch to its end; alternatives wait on ``stack``.
             while True:
-                charge()
+                steps += 1
+                if steps == batch:
+                    budget.charge(batch)
+                    steps, batch = 0, budget._batch()
                 if not todo:
                     out[done] = None
                     break
@@ -308,12 +330,19 @@ class _Tableau:
                 elif k == _K_FALSE:
                     break
                 # True holds everywhere and is never recorded in a node.
+        if steps:
+            budget.charge(steps)
         nodes, node_sets = self.nodes, self.node_sets
         for node in out:
             if node not in nodes:
                 nodes[node] = len(node_sets)
                 node_sets.append(node)
                 self._succ.append(None)
+                mark = 0
+                for i, (u, r) in enumerate(self.untils):
+                    if not node & u or node & r:
+                        mark |= 1 << i
+                self.marks.append(mark)
         result = self._expand_cache[obligations] = tuple(map(nodes.__getitem__, out))
         return result
 
@@ -338,11 +367,10 @@ class _Tableau:
         return frozenset([name for bit, name in self._props if node & bit])
 
     def cycle_accepting(self, cycle_ids: list[int]) -> bool:
-        node_sets = [self.node_sets[i] for i in cycle_ids]
-        for u, r in self.untils:
-            if not any(not nd & u or nd & r for nd in node_sets):
-                return False
-        return True
+        union = 0
+        for i in cycle_ids:
+            union |= self.marks[i]
+        return union == self.full_mark
 
 
 # ---------------------------------------------------------------------------
@@ -444,103 +472,86 @@ def _merge_words(words: list[LassoWord]) -> LassoWord | None:
 
 def _check_component(g: Formula, budget: Budget) -> Verdict:
     tab = _Tableau(g, budget)
-    init_ids = tab.initial_ids()
-    if not init_ids:
+    found = _accepting_scc(tab)
+    if found is None:
         return Verdict.unsat()
-    scc = _accepting_scc(tab)
-    if scc is None:
-        return Verdict.unsat()
-    return Verdict.sat(_extract_word(tab, init_ids, scc))
+    return Verdict.sat(_extract_word(tab, *found))
 
 
-def _accepting_scc(tab: _Tableau) -> list[int] | None:
-    """First (in Tarjan completion order) accepting SCC, or None.
+def _accepting_scc(tab: _Tableau) -> tuple[list[int], list[int]] | None:
+    """A path from an initial node to a node ``r``, and strongly connected
+    nodes, ``r`` first, whose marks fill ``full_mark``; or None.
 
-    Successors are expanded lazily, so the graph grows while the search
-    runs; completed SCCs are tested immediately, which lets satisfiable
-    checks stop before the whole graph is built.
+    Couvreur's on-the-fly emptiness check: each root of a partial SCC of
+    the lazy depth-first search carries the union of its nodes' marks.  An
+    edge into an active node merges roots, and the search stops as soon as
+    a merged union is full, before the SCC is complete.
     """
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: dict[int, int] = {}  # node -> its position in ``stack``
+    marks, full = tab.marks, tab.full_mark
+    visited: set[int] = set()
+    on_stack: dict[int, int] = {}  # active node -> its position in ``stack``
     stack: list[int] = []
+    root_at: list[int] = []  # stack position of each partial SCC's root
+    root_mark: list[int] = []  # union of that partial SCC's marks
     work: list[tuple[int, Iterator[int]]] = []
 
     def visit(v: int) -> None:
-        index[v] = low[v] = len(index)
+        visited.add(v)
         on_stack[v] = len(stack)
+        root_at.append(len(stack))
+        root_mark.append(marks[v])
         stack.append(v)
         work.append((v, iter(tab.successors(v))))
 
-    start = 0
-    while start < len(tab.node_sets):
-        if start not in index:
+    for start in tab.initial_ids():
+        if start not in visited:
             visit(start)
         while work:
             v, succ = work[-1]
             for w in succ:
-                if w not in index:
+                if w not in visited:
                     visit(w)
                     break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
+                at = on_stack.get(w)
+                if at is not None:
+                    union = 0
+                    while root_at[-1] > at:
+                        root_at.pop()
+                        union |= root_mark.pop()
+                    root_mark[-1] |= union
+                    if root_mark[-1] == full:
+                        # Roots lie on the search path, so ``work`` holds
+                        # the path from ``start`` to this one.
+                        root = stack[root_at[-1]]
+                        path = [x for x, _ in work]
+                        return path[: path.index(root) + 1], stack[root_at[-1] :]
             else:
                 work.pop()
-                if low[v] == index[v]:
-                    component = stack[on_stack[v] :]
-                    del stack[on_stack[v] :]
-                    for w in component:
+                at = on_stack[v]
+                if root_at[-1] == at:  # v's SCC is complete, and not accepting
+                    root_at.pop()
+                    root_mark.pop()
+                    for w in stack[at:]:
                         del on_stack[w]
-                    if _scc_accepting(tab, component):
-                        return component
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-        start += 1
+                    del stack[at:]
     return None
 
 
-def _scc_accepting(tab: _Tableau, component: list[int]) -> bool:
-    nontrivial = len(component) > 1 or component[0] in tab.successors(component[0])
-    if not nontrivial:
-        return False
-    return tab.cycle_accepting(component)
-
-
-def _extract_word(tab: _Tableau, init_ids: list[int], scc: list[int]) -> LassoWord:
-    members = set(scc)
-
-    # Shortest path from an initial node into the SCC (BFS, deterministic).
-    # The queue is in discovery order, so the search stops at the first
-    # member discovered rather than expanding the nodes queued before it.
-    parent: dict[int, int | None] = dict.fromkeys(init_ids)
-    queue = list(parent)
-    entry = next((v for v in queue if v in members), None)
-    for v in queue:
-        if entry is not None:
-            break
-        for w in tab.successors(v):
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-                if w in members:
-                    entry = w
-                    break
-    assert entry is not None, "SCC must be reachable"
-    path = [entry]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-
-    # A cycle through one fulfillment witness per pending Until.
-    node_sets = tab.node_sets
+def _extract_word(tab: _Tableau, path: list[int], members: list[int]) -> LassoWord:
+    """The lasso along ``path`` into ``members`` (which start at the path's
+    last node) and then around a cycle within them through one
+    fulfillment witness per pending Until."""
+    inside = set(members)
+    node_sets, marks = tab.node_sets, tab.marks
+    entry = path[-1]
     cycle = [entry]
-    for u, r in tab.untils:
-        if not any(node_sets[i] & u for i in scc):
+    for k, (u, _) in enumerate(tab.untils):
+        if not any(node_sets[i] & u for i in members):
             continue
-        witness = next(i for i in scc if not node_sets[i] & u or node_sets[i] & r)
+        witness = next(i for i in members if marks[i] >> k & 1)
         if witness != cycle[-1]:
-            cycle.extend(_path_within(tab, members, cycle[-1], witness))
-    cycle.extend(_path_within(tab, members, cycle[-1], entry))
+            cycle.extend(_path_within(tab, inside, cycle[-1], witness))
+    cycle.extend(_path_within(tab, inside, cycle[-1], entry))
     cycle.pop()  # final entry duplicates cycle[0]
 
     prefix = tuple(map(tab.state_of, path[:-1]))
@@ -551,7 +562,7 @@ def _extract_word(tab: _Tableau, init_ids: list[int], scc: list[int]) -> LassoWo
 def _path_within(
     tab: _Tableau, members: set[int], source: int, target: int
 ) -> list[int]:
-    """Nodes after ``source`` up to and including ``target``, inside the SCC.
+    """Nodes after ``source`` up to and including ``target``, inside ``members``.
 
     When source equals target this finds a nontrivial cycle back to it.
     """
@@ -570,7 +581,7 @@ def _path_within(
                 return hops
             parent[w] = v
             queue.append(w)
-    raise AssertionError("SCC is strongly connected; path must exist")
+    raise AssertionError("members are strongly connected; path must exist")
 
 
 # ---------------------------------------------------------------------------
@@ -585,31 +596,24 @@ def lasso_search(
 
     Budget exhaustion simply yields ``None``.
     """
-    try:
-        word, _ = _lasso_search_status(f, max_depth, budget)
-    except _Stop:
-        return None
-    return word
-
-
-def _lasso_search_status(
-    f: Formula, max_depth: int, budget: Budget | None = None
-) -> tuple[LassoWord | None, bool]:
-    """Returns (word, depth_limited): depth_limited is False when the whole
-    reachable graph fits within the bound, i.e. deeper search cannot help."""
     if budget is None:
         budget = Budget()
+    try:
+        return _lasso_search(f, max_depth, budget)
+    except _Stop:
+        return None
+
+
+def _lasso_search(f: Formula, max_depth: int, budget: Budget) -> LassoWord | None:
+    """Deepen one level at a time on one graph; stops early, with None,
+    once a depth is not reached because the whole graph fits within it."""
     tab = _Tableau(nnf(f), budget)
     init_ids = tab.initial_ids()
-    depth_limited = False
     for depth in range(1, max_depth + 1):
         word, limited = _bounded_dfs(tab, init_ids, depth)
-        if word is not None:
-            return word, True
-        if not limited:
-            return None, False
-        depth_limited = True
-    return None, depth_limited
+        if word is not None or not limited:
+            return word
+    return None
 
 
 def _bounded_dfs(
@@ -761,14 +765,10 @@ def run_strategy(name: str, f: Formula, budget: Budget) -> Verdict:
 
 
 def _lasso_strategy(f: Formula, budget: Budget) -> Verdict:
-    depth = 4
-    while True:
-        try:
-            word, limited = _lasso_search_status(f, depth, budget)
-        except _Stop as stop:
-            return Verdict("unknown", reason=stop.reason)
-        if word is not None:
-            return Verdict.sat(word)
-        if not limited:
-            return Verdict.error(f"no accepting lasso within depth {depth}")
-        depth *= 2
+    try:
+        word = _lasso_search(f, sys.maxsize, budget)
+    except _Stop as stop:
+        return Verdict("unknown", reason=stop.reason)
+    if word is not None:
+        return Verdict.sat(word)
+    return Verdict.error("no accepting lasso in the whole reachable graph")

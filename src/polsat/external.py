@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import os
 import re
+import signal
 import subprocess
 import threading
 import time
@@ -129,8 +130,10 @@ def invoke(
     """Run one external solver on one formula.
 
     The formula is rendered in the spec's dialect and passed as a single
-    argument.  On timeout or cancellation the process is terminated, then
-    killed after ``timeout_grace`` seconds if still alive.
+    argument.  The solver leads a new session, so its process group holds
+    its descendants too.  On timeout or cancellation that whole group is
+    terminated, then killed after ``timeout_grace`` seconds if the solver
+    is still alive.
     """
     text = render(formula, spec.dialect)
     start = time.monotonic()
@@ -141,6 +144,7 @@ def invoke(
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             text=True,
+            start_new_session=True,
         )
     except OSError as exc:
         return RunRecord(spec.name, Verdict.error(f"spawn failed: {exc}"), 0.0)
@@ -164,11 +168,12 @@ def invoke(
 
 
 def _kill(proc: subprocess.Popen, grace: float) -> None:
-    proc.terminate()
+    # The unreaped solver keeps its group alive, so neither signal can miss.
+    os.killpg(proc.pid, signal.SIGTERM)
     try:
         proc.wait(timeout=grace)
     except subprocess.TimeoutExpired:
-        proc.kill()
+        os.killpg(proc.pid, signal.SIGKILL)
     try:
         proc.communicate(timeout=GRACE_SECONDS)
     except (subprocess.TimeoutExpired, ValueError):

@@ -130,7 +130,9 @@ def evaluate(word: LassoWord, formula: Formula) -> bool:
         memo[f] = v
         return v
 
-    return bool(vec(formula) & 1)
+    holds = bool(vec(formula) & 1)
+    del vec  # it refers to itself; unlinked, no cyclic garbage is left behind
+    return holds
 
 
 def _lfp(left: int, right: int, step: Callable[[int], int]) -> int:

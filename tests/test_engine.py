@@ -12,9 +12,9 @@ from polsat.engine import (
     tableau_check,
 )
 from polsat.formulas import FALSE, TRUE, And, Iff, Prop, parse
-from polsat.lasso import evaluate
+from polsat.lasso import evaluate, print_evidence
 
-from conftest import child_env, random_formula
+from conftest import child_env, fixture_text, random_formula
 from oracle import VectorOracle, stream_formulas
 
 
@@ -71,6 +71,20 @@ class TestTableau:
             assert proc.returncode == 0, proc.stderr
             outputs.add(proc.stdout)
         assert len(outputs) == 1
+
+    def test_lift_decided_before_its_sccs_complete(self):
+        # Testing acceptance only on complete SCCs takes about 2.2 M charges.
+        f = parse(fixture_text("lift.ltl"))
+        v = tableau_check(f, Budget(max_nodes=100_000))
+        assert v.is_sat and evaluate(v.evidence, f)
+
+    def test_node_budget_stops_at_the_step_that_exceeds_it(self):
+        # Expansion charges in batches, never past max_nodes + 1.
+        f = parse(fixture_text("lift.ltl"))
+        for n in (1, 255, 256, 257, 1000):
+            budget = Budget(max_nodes=n)
+            assert tableau_check(f, budget).is_timeout
+            assert budget.nodes == n + 1
 
     def test_budget_exhaustion_reports_timeout(self):
         f = gen_random(120, 3, 5)
@@ -278,6 +292,17 @@ class TestEngineAgreement:
         assert no_win.kind == "unknown" and no_win.reason == "solver-error"
         gave_up = run_strategy("lasso", parse("p & !p"), Budget())
         assert gave_up.kind == "unknown" and gave_up.reason == "solver-error"
+
+    def test_lasso_strategy_deepens_one_graph(self):
+        # The race's lasso strategy finds the same word as one deepening
+        # search, without rebuilding the graph or repeating depths.
+        f = parse(fixture_text("counter.ltl"))
+        solo, raced = Budget(), Budget()
+        word = lasso_search(f, 64, solo)
+        verdict = run_strategy("lasso", f, raced)
+        assert verdict.is_sat
+        assert print_evidence(verdict.evidence) == print_evidence(word)
+        assert raced.nodes <= solo.nodes
 
     def test_o1_family_unsat_via_tableau(self):
         for n in (1, 5, 20, 100):

@@ -135,6 +135,36 @@ class TestInvoke:
         assert not t.is_alive()
         assert out["record"].verdict.reason == "cancelled"
 
+    def test_cancel_kills_the_whole_process_group(self, stub_dir, tmp_path):
+        # The wrapper's sleep is a grandchild of the caller; cancelling must
+        # reach it as well as the shell.
+        pid_file = tmp_path / "pid"
+        wrapper = (
+            f"#!/bin/sh\nsleep 30 &\necho $$ > {pid_file}.tmp\n"
+            f"mv {pid_file}.tmp {pid_file}\nwait\n"
+        )
+        spec = ExternalSolverSpec(stub_dir("wrapper", wrapper))
+        cancel = threading.Event()
+        t = threading.Thread(target=invoke, args=(spec, parse("a"), 60.0, cancel))
+        t.start()
+        deadline = time.monotonic() + 5.0
+        while not pid_file.exists():
+            assert time.monotonic() < deadline, "wrapper never started"
+            time.sleep(0.01)
+        pgid = os.getpgid(int(pid_file.read_text()))
+        cancel.set()
+        t.join(5.0)
+        assert not t.is_alive()
+        # A killed grandchild lingers as a zombie until init reaps it.
+        deadline = time.monotonic() + 10.0
+        while True:
+            try:
+                os.killpg(pgid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a process of the solver survived"
+            time.sleep(0.05)
+
     def test_kill_escalation_for_term_ignorers(self, stub_dir):
         spec = ExternalSolverSpec(
             stub_dir("stubborn", sleeper_stub(10, ignore_term=True)),
