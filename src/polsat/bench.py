@@ -187,9 +187,6 @@ class BenchReport:
     def formula_count(self) -> int:
         return len(self.outcomes)
 
-    def solved_count(self, solver: str) -> int:
-        return sum(1 for r in self.records.get(solver, []) if r.verdict.is_definitive)
-
     def ranked_totals(self) -> list[tuple[str, float]]:
         return sorted(self.totals.items(), key=lambda item: (item[1], item[0]))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
+from dataclasses import replace
 
 from . import bench
 from .engine import Verdict
@@ -91,23 +91,17 @@ def _solver_set() -> list[SolverSpec]:
         while name in names:  # two registered solvers may share a basename
             name = f"{spec.name}#{suffix}"
             suffix += 1
-        if name != spec.name:
-            spec = SolverSpec(name, spec.kind, spec.run, spec.supports_evidence, spec.detail)
         names.add(name)
-        solvers.append(spec)
+        solvers.append(replace(spec, name=name))
     return solvers
 
 
-def _fmt(t: float) -> str:
-    return bench.format_seconds(t)
-
-
 def _print_single(result_verdict: Verdict, winner: str, elapsed: float, want_evidence: bool) -> int:
-    print(result_verdict.word())
+    print(result_verdict.kind)
     if want_evidence and result_verdict.is_sat and result_verdict.evidence is not None:
         print(print_evidence(result_verdict.evidence))
     print(f"from {winner}")
-    print(f"eclipse time: {_fmt(elapsed)}s")
+    print(f"eclipse time: {bench.format_seconds(elapsed)}s")
     if result_verdict.is_definitive:
         return 0
     return 2
@@ -123,7 +117,7 @@ def _check_formula(text: str, args: argparse.Namespace) -> int:
     if args.separate:
         records = run_all(formula, solvers, args.timeout)
         for record in records:
-            print(f"{record.solver}: {record.verdict.word()}\t{_fmt(record.elapsed)}s")
+            print(f"{record.solver}: {record.verdict.kind}\t{bench.format_seconds(record.elapsed)}s")
             if (
                 args.evidence
                 and record.verdict.is_sat
@@ -166,16 +160,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     if args.add_solver is not None:
-        known = {spec.path for spec in Registry.load().specs}
         try:
-            register(args.add_solver)
+            added = register(args.add_solver)
         except RegistrationError as exc:
             print(str(exc), file=sys.stderr)
             return 1
-        if str(Path(args.add_solver).resolve()) in known:
-            print(f"{args.add_solver} is already registered.", file=sys.stderr)
-        else:
+        if added:
             print(f"{args.add_solver} is added.")
+        else:
+            print(f"{args.add_solver} is already registered.", file=sys.stderr)
 
     if args.batch_file is not None:
         if args.formula is not None:

@@ -50,7 +50,6 @@ __all__ = [
     "tableau_check",
     "lasso_search",
     "sat_shortcut",
-    "STRATEGY_NAMES",
     "run_strategy",
 ]
 
@@ -151,9 +150,6 @@ class Verdict:
     @property
     def is_cancelled(self) -> bool:
         return self.kind == "unknown" and self.reason == "cancelled"
-
-    def word(self) -> str:
-        return self.kind
 
 
 # Node kinds for the integer-encoded formula universe.
@@ -392,7 +388,12 @@ def tableau_check(f: Formula, budget: Budget | None = None) -> Verdict:
         budget = Budget()
     words: list[LassoWord] = []
     unknown: str | None = None
-    for component in _components(nnf(f)):
+    g = nnf(f)
+    try:
+        budget.charge(0)  # normalising a large formula takes long: poll before walking it
+    except _Stop as stop:
+        return Verdict("unknown", reason=stop.reason)
+    for component in _components(g):
         try:
             verdict = _check_component(component, budget)
         except _Stop as stop:
@@ -737,9 +738,6 @@ def _obligation_family(g: Formula) -> list[frozenset[Literal]] | None:
 
 # ---------------------------------------------------------------------------
 # Uniform strategy interface for the portfolio
-
-STRATEGY_NAMES = ("tableau", "lasso", "shortcut")
-
 
 def run_strategy(name: str, f: Formula, budget: Budget) -> Verdict:
     """Run one internal solver to a verdict under ``budget``.

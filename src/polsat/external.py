@@ -10,7 +10,7 @@ file (one absolute path per line) whose location can be overridden with the
 
 from __future__ import annotations
 
-import logging
+import functools
 import os
 import re
 import signal
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import Verdict
-from .formulas import DEFAULT_DIALECT, Dialect, Formula, render
+from .formulas import Formula, render
 from .lasso import EvidenceError, parse_evidence
 from .portfolio import GRACE_SECONDS, RunRecord, SolverSpec
 
@@ -34,8 +34,6 @@ __all__ = [
     "invoke",
     "as_solver_spec",
 ]
-
-log = logging.getLogger(__name__)
 
 ENV_REGISTRY = "POLSAT_REGISTRY"
 
@@ -51,8 +49,6 @@ class ExternalSolverSpec:
     """A registered external solver executable."""
 
     path: str
-    dialect: Dialect = DEFAULT_DIALECT
-    timeout_grace: float = GRACE_SECONDS
 
     @property
     def name(self) -> str:
@@ -102,11 +98,11 @@ class Registry:
         return True
 
 
-def register(solver_path: str, registry_path: Path | None = None) -> Registry:
+def register(solver_path: str, registry_path: Path | None = None) -> bool:
     """Validate and persist an external solver path.
 
-    The path must exist and be executable.  Re-registering an already known
-    path is an idempotent no-op (a warning is logged).
+    The path must exist and be executable.  Returns False, and changes
+    nothing, when the path is already registered.
     """
     p = Path(solver_path)
     if not p.exists():
@@ -114,11 +110,10 @@ def register(solver_path: str, registry_path: Path | None = None) -> Registry:
     if not os.access(p, os.X_OK) or p.is_dir():
         raise RegistrationError(f"not an executable file: {solver_path}")
     registry = Registry.load(registry_path)
-    if registry.add(solver_path):
+    added = registry.add(solver_path)
+    if added:
         registry.save()
-    else:
-        log.warning("%s is already registered", solver_path)
-    return registry
+    return added
 
 
 def invoke(
@@ -129,13 +124,13 @@ def invoke(
 ) -> RunRecord:
     """Run one external solver on one formula.
 
-    The formula is rendered in the spec's dialect and passed as a single
+    The formula is rendered in the default dialect and passed as a single
     argument.  The solver leads a new session, so its process group holds
     its descendants too.  On timeout or cancellation that whole group is
-    terminated, then killed after ``timeout_grace`` seconds if the solver
-    is still alive.
+    terminated, then killed after ``GRACE_SECONDS`` if the solver is still
+    alive.  A timed-out run costs exactly ``timeout``.
     """
-    text = render(formula, spec.dialect)
+    text = render(formula)
     start = time.monotonic()
     deadline = start + timeout
     try:
@@ -155,23 +150,23 @@ def invoke(
             output, _ = proc.communicate(timeout=0.02)
         except subprocess.TimeoutExpired:
             if cancel is not None and cancel.is_set():
-                _kill(proc, spec.timeout_grace)
+                _kill(proc)
                 return RunRecord(
                     spec.name, Verdict.cancelled(), time.monotonic() - start
                 )
             if time.monotonic() >= deadline:
-                _kill(proc, spec.timeout_grace)
+                _kill(proc)
                 # Accounting rule: a timed-out run costs exactly the timeout.
                 return RunRecord(spec.name, Verdict.timeout(), timeout)
     elapsed = time.monotonic() - start
     return RunRecord(spec.name, _parse_output(output, proc.returncode), elapsed)
 
 
-def _kill(proc: subprocess.Popen, grace: float) -> None:
+def _kill(proc: subprocess.Popen) -> None:
     # The unreaped solver keeps its group alive, so neither signal can miss.
     os.killpg(proc.pid, signal.SIGTERM)
     try:
-        proc.wait(timeout=grace)
+        proc.wait(timeout=GRACE_SECONDS)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
     try:
@@ -200,17 +195,10 @@ def _parse_output(output: str, returncode: int | None) -> Verdict:
 
 def as_solver_spec(spec: ExternalSolverSpec, supports_evidence: bool = True) -> SolverSpec:
     """Wrap an external solver for use in a portfolio."""
-
-    def run(formula: Formula, timeout: float, cancel: threading.Event) -> RunRecord:
-        record = invoke(spec, formula, timeout, cancel)
-        if record.verdict.is_timeout:
-            return RunRecord(record.solver, record.verdict, timeout)
-        return record
-
     return SolverSpec(
         name=spec.name,
         kind="external",
-        run=run,
+        run=functools.partial(invoke, spec),
         supports_evidence=supports_evidence,
         detail=spec.path,
     )

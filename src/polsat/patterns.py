@@ -13,7 +13,7 @@ from typing import Callable
 
 from .formulas import And, Finally, Formula, Globally, Implies, Next, Not, Or, Prop, Until
 
-__all__ = ["Pattern", "PATTERNS", "pattern_names"]
+__all__ = ["Pattern", "PATTERNS"]
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,3 @@ PATTERNS: tuple[Pattern, ...] = (
         lambda p, s, t: Implies(Finally(And(s, Next(Finally(t)))), _weak_until(Not(s), p)),
     ),
 )
-
-
-def pattern_names() -> tuple[str, ...]:
-    return tuple(p.name for p in PATTERNS)

@@ -5,6 +5,11 @@ result and every other worker is cancelled (internal solvers via a flag,
 external processes via terminate-then-kill).  ``run_all`` instead lets every
 solver finish and :func:`arbitrate` checks the answers for consistency,
 which is what makes the portfolio usable as a solver-testing platform.
+
+Both start solvers through one launcher.  It names every record after its
+:class:`SolverSpec`, turns a solver that raises into an Unknown(solver-error)
+record, and applies one accounting rule: a timed-out run costs exactly the
+timeout, and any other run costs at most the timeout plus ``GRACE_SECONDS``.
 """
 
 from __future__ import annotations
@@ -14,11 +19,11 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 from .engine import Budget, Verdict, run_strategy
 from .formulas import Formula
-from .lasso import LassoWord, evaluate
+from .lasso import evaluate
 
 __all__ = [
     "SolverSpec",
@@ -33,8 +38,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: Extra seconds granted past the timeout for workers to report and for
-#: external kill escalation to finish.
+#: Extra seconds granted past the timeout for workers to report; also how
+#: long a terminated external solver has before it is killed.
 GRACE_SECONDS = 1.0
 
 Runner = Callable[[Formula, float, threading.Event], "RunRecord"]
@@ -58,10 +63,6 @@ class RunRecord:
     solver: str
     verdict: Verdict
     elapsed: float
-
-    @property
-    def evidence(self) -> LassoWord | None:
-        return self.verdict.evidence
 
 
 @dataclass(frozen=True)
@@ -104,26 +105,10 @@ def _internal_runner(strategy: str) -> Runner:
     def run(formula: Formula, timeout: float, cancel: threading.Event) -> RunRecord:
         start = time.monotonic()
         budget = Budget(max_nodes=None, deadline=start + timeout, cancel=cancel)
-        try:
-            verdict = run_strategy(strategy, formula, budget)
-        except Exception as exc:  # defensive: a solver bug must not kill the race
-            log.exception("internal solver %s failed", strategy)
-            verdict = Verdict.error(f"{type(exc).__name__}: {exc}")
-        elapsed = time.monotonic() - start
-        return _normalize_record(strategy, verdict, elapsed, timeout)
+        verdict = run_strategy(strategy, formula, budget)
+        return RunRecord(strategy, verdict, time.monotonic() - start)
 
     return run
-
-
-def _normalize_record(
-    name: str, verdict: Verdict, elapsed: float, timeout: float
-) -> RunRecord:
-    # Timed-out runs are accounted at exactly the timeout value.
-    if verdict.is_timeout:
-        elapsed = timeout
-    else:
-        elapsed = min(elapsed, timeout + GRACE_SECONDS)
-    return RunRecord(name, verdict, elapsed)
 
 
 def _validated(record: RunRecord, formula: Formula) -> RunRecord:
@@ -136,12 +121,58 @@ def _validated(record: RunRecord, formula: Formula) -> RunRecord:
     return record
 
 
-def _check_solvers(solvers: list[SolverSpec]) -> None:
+def _launch(
+    formula: Formula,
+    solvers: list[SolverSpec],
+    timeout: float,
+    cancels: list[threading.Event],
+) -> Iterator[tuple[int, RunRecord]]:
+    """Start one daemon thread per solver and yield ``(index, record)``.
+
+    Nothing starts before the first record is asked for.  Every record is
+    named after its :class:`SolverSpec`; a ``run`` that raises becomes
+    Unknown(solver-error).  Records that arrive together come lowest index
+    first.  The iterator ends once every solver has reported, or
+    ``2 * GRACE_SECONDS`` after the timeout: time for a kill to escalate and
+    for the killed process to be reaped.
+    """
     if not solvers:
         raise ValueError("no solvers configured")
     names = [s.name for s in solvers]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate solver names: {names}")
+    if timeout <= 0:
+        raise ValueError("timeout must be positive")
+    give_up = time.monotonic() + timeout + 2 * GRACE_SECONDS
+    results: "queue.Queue[tuple[int, RunRecord]]" = queue.Queue()
+
+    def worker(i: int, spec: SolverSpec) -> None:
+        start = time.monotonic()
+        try:
+            record = spec.run(formula, timeout, cancels[i])
+            verdict, elapsed = record.verdict, record.elapsed
+        except Exception as exc:  # a solver bug must not kill the race
+            log.exception("solver %s failed", spec.name)
+            verdict = Verdict.error(f"{type(exc).__name__}: {exc}")
+            elapsed = time.monotonic() - start
+        if verdict.is_timeout:
+            elapsed = timeout
+        results.put((i, RunRecord(spec.name, verdict, min(elapsed, timeout + GRACE_SECONDS))))
+
+    for i, spec in enumerate(solvers):
+        threading.Thread(
+            target=worker, args=(i, spec), daemon=True, name=f"polsat-{spec.name}"
+        ).start()
+    pending = len(solvers)
+    while pending:
+        try:
+            arrived = [results.get(timeout=max(0.0, give_up - time.monotonic()))]
+        except queue.Empty:
+            return
+        while not results.empty():  # this generator is the only reader
+            arrived.append(results.get_nowait())
+        pending -= len(arrived)
+        yield from sorted(arrived, key=lambda item: item[0])
 
 
 def race(
@@ -158,26 +189,7 @@ def race(
     timeout expires; the witness producer then becomes the winner.  If no
     solver answers, the result is Unknown(timeout) with winner ``"none"``.
     """
-    _check_solvers(solvers)
-    if timeout <= 0:
-        raise ValueError("timeout must be positive")
-    start = time.monotonic()
-    results: "queue.Queue[tuple[int, RunRecord]]" = queue.Queue()
     cancels = [threading.Event() for _ in solvers]
-
-    def worker(i: int, spec: SolverSpec) -> None:
-        try:
-            record = spec.run(formula, timeout, cancels[i])
-        except Exception as exc:  # spec.run must not raise, but stay safe
-            record = RunRecord(spec.name, Verdict.error(str(exc)), timeout)
-        results.put((i, record))
-
-    for i, spec in enumerate(solvers):
-        threading.Thread(
-            target=worker, args=(i, spec), daemon=True, name=f"polsat-{spec.name}"
-        ).start()
-
-    deadline = start + timeout
     pending = set(range(len(solvers)))
     winner: RunRecord | None = None
     hunting_evidence = False
@@ -188,22 +200,8 @@ def race(
                 continue
             cancels[j].set()
 
-    while pending:
-        remaining = (deadline + GRACE_SECONDS + 1.0) - time.monotonic()
-        if remaining <= 0:
-            break
-        try:
-            i, record = results.get(timeout=remaining)
-        except queue.Empty:
-            break
-        arrived = [(i, record)]
-        while True:  # drain what arrived together, lowest worker index wins ties
-            try:
-                arrived.append(results.get_nowait())
-            except queue.Empty:
-                break
-        arrived.sort(key=lambda item: item[0])
-        for i, record in arrived:
+    try:
+        for i, record in _launch(formula, solvers, timeout, cancels):
             pending.discard(i)
             record = _validated(record, formula)
             if not record.verdict.is_definitive:
@@ -219,8 +217,6 @@ def race(
                     hunting_evidence = True
                     cancel_others(keep_evidence_capable=True)
                 else:
-                    cancel_others(keep_evidence_capable=False)
-                    pending.clear()
                     break
             elif (
                 hunting_evidence
@@ -228,12 +224,10 @@ def race(
                 and record.verdict.evidence is not None
             ):
                 winner = record
-                cancel_others(keep_evidence_capable=False)
-                pending.clear()
                 break
-
-    for event in cancels:
-        event.set()
+    finally:
+        for event in cancels:
+            event.set()
 
     if winner is not None:
         return PortfolioResult(winner.verdict, winner.solver, winner.elapsed)
@@ -248,32 +242,13 @@ def run_all(
     Records come back fastest-first.  A solver failure becomes an
     Unknown(solver-error) record rather than an exception.
     """
-    _check_solvers(solvers)
-    if timeout <= 0:
-        raise ValueError("timeout must be positive")
-    records: list[RunRecord | None] = [None] * len(solvers)
     never = threading.Event()
-
-    def worker(i: int, spec: SolverSpec) -> None:
-        try:
-            records[i] = spec.run(formula, timeout, never)
-        except Exception as exc:
-            records[i] = RunRecord(spec.name, Verdict.error(str(exc)), timeout)
-
-    threads = [
-        threading.Thread(target=worker, args=(i, spec), daemon=True)
+    reported = dict(_launch(formula, solvers, timeout, [never] * len(solvers)))
+    out = [
+        reported.get(i)
+        or RunRecord(spec.name, Verdict.error("worker did not report"), timeout)
         for i, spec in enumerate(solvers)
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout + 2 * GRACE_SECONDS + 1.0)
-    out = []
-    for i, spec in enumerate(solvers):
-        record = records[i]
-        if record is None:  # worker stuck past its own timeout handling
-            record = RunRecord(spec.name, Verdict.error("worker did not report"), timeout)
-        out.append(record)
     out.sort(key=lambda r: r.elapsed)
     return out
 

@@ -23,6 +23,10 @@ from polsat.formulas import (
 from polsat.lasso import LassoWord
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PROC = Path("/proc")
+
+#: For process-hygiene checks, which read ``/proc``.
+requires_proc = pytest.mark.skipif(not (PROC / "self").exists(), reason="needs /proc")
 
 #: Directory the running tests imported ``polsat`` from (``src`` in a
 #: checkout, ``site-packages`` when installed).
@@ -36,6 +40,25 @@ def child_env(**extra: str) -> dict[str, str]:
     """Environment for a child interpreter that must import this ``polsat``:
     ``PATH``, ``PYTHONPATH`` and the test's own variables, nothing else."""
     return {"PATH": "/usr/bin:/bin", "PYTHONPATH": POLSAT_PATH, **extra}
+
+
+def live_processes(marker: str) -> list[int]:
+    """Pids whose command line contains ``marker``, read from ``/proc``.
+
+    The scan sees every process, including orphans reparented away from the
+    caller.  A zombie's command line is empty, so it does not count.
+    """
+    pids = []
+    for entry in PROC.iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:  # the process ended during the scan
+            continue
+        if marker.encode() in cmdline:
+            pids.append(int(entry.name))
+    return pids
 
 
 def fixture_text(name: str) -> str:

@@ -33,7 +33,15 @@ from polsat.formulas import (
 from polsat.lasso import LassoWord, evaluate
 from polsat.portfolio import internal_solvers, race, run_all, arbitrate
 
-from conftest import child_env, fixture_text, random_formula, sh_stub, sleeper_stub
+from conftest import (
+    child_env,
+    fixture_text,
+    live_processes,
+    random_formula,
+    requires_proc,
+    sh_stub,
+    sleeper_stub,
+)
 from oracle import VectorOracle, stream_formulas
 
 TIME_LINE_RE = re.compile(r"^eclipse time: \d+(\.\d+)?s$")
@@ -180,9 +188,9 @@ def test_criterion_3_paper_fixtures(capsys):
         assert_three_line_transcript(lines, "sat")
 
 
+@requires_proc
 def test_criterion_4_race_semantics(stub_dir):
     """Fast stub wins quickly; the sleeper is killed; nothing is orphaned."""
-    psutil = pytest.importorskip("psutil")
     with criterion(4, "first-winner race cancels and kills losers"):
         fast = as_solver_spec(
             ExternalSolverSpec(stub_dir("faststub", "#!/bin/sh\nsleep 0.01\necho sat\n"))
@@ -190,18 +198,6 @@ def test_criterion_4_race_semantics(stub_dir):
         sleeper_path = stub_dir("sleepstub", sleeper_stub(10))
         sleeper = as_solver_spec(ExternalSolverSpec(sleeper_path))
         f = parse("a U b")
-        me = psutil.Process()
-
-        def sleeper_processes():
-            procs = []
-            for child in me.children(recursive=True):
-                try:
-                    if sleeper_path in " ".join(child.cmdline() or []):
-                        procs.append(child)
-                except psutil.NoSuchProcess:
-                    pass
-            return procs
-
         for _ in range(20):
             t0 = time.monotonic()
             result = race(f, [sleeper, fast], 10.0)
@@ -210,10 +206,10 @@ def test_criterion_4_race_semantics(stub_dir):
             assert result.winner == "faststub"
             assert elapsed < 0.2, f"race took {elapsed:.3f}s"
             deadline = time.monotonic() + 1.5
-            while sleeper_processes():
+            while live_processes(sleeper_path):
                 assert time.monotonic() < deadline, "sleeper outlived the kill window"
                 time.sleep(0.02)
-        assert sleeper_processes() == []
+        assert live_processes(sleeper_path) == []
 
 
 def test_criterion_5_timeout_accounting(stub_dir, tmp_path):

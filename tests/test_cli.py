@@ -5,8 +5,11 @@ import sys
 
 import pytest
 
+from polsat import cli
+from polsat.bench import run_file
 from polsat.cli import main
-from polsat.external import ENV_REGISTRY
+from polsat.external import ENV_REGISTRY, register
+from polsat.portfolio import run_all
 from polsat.formulas import parse
 from polsat.lasso import evaluate, parse_evidence
 
@@ -181,9 +184,60 @@ class TestAddSolver:
         assert f"{stub} is added." not in out
         assert "already registered" in err
 
+    def test_duplicate_add_prints_one_message(self, tmp_path):
+        stub = tmp_path / "mysolver"
+        stub.write_text(sh_stub(["sat"]))
+        stub.chmod(0o755)
+        env = child_env(**{ENV_REGISTRY: str(tmp_path / "reg")})
+        for _ in range(2):
+            proc = subprocess.run(
+                [sys.executable, "-m", "polsat", "-add", str(stub)],
+                capture_output=True,
+                text=True,
+                env=env,
+                stdin=subprocess.DEVNULL,
+            )
+        assert proc.returncode == 0
+        assert proc.stderr.count("already registered") == 1
+
     def test_bad_path_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "-add", str(tmp_path / "ghost"))
         assert code == 1
+
+
+class TestDuplicateBasenames:
+    """Two registered solvers named ``solv`` keep apart as ``solv``/``solv#2``."""
+
+    @pytest.fixture(autouse=True)
+    def two_solvs(self, tmp_path):
+        bodies = {"one": sh_stub(["sat"]), "two": "#!/bin/sh\nsleep 0.3\necho unsat\n"}
+        for sub, body in bodies.items():
+            (tmp_path / sub).mkdir()
+            stub = tmp_path / sub / "solv"
+            stub.write_text(body)
+            stub.chmod(0o755)
+            register(str(stub))
+
+    def test_run_all_names_each_record(self):
+        records = run_all(parse("a U b"), cli._solver_set()[3:], 5.0)
+        assert {r.solver: r.verdict.kind for r in records} == {
+            "solv": "sat",
+            "solv#2": "unsat",
+        }
+
+    def test_run_file_totals_each_solver(self, tmp_path):
+        src = tmp_path / "f.txt"
+        src.write_text("a U b\n")
+        report = run_file(
+            src, cli._solver_set(), timeout=5.0, out_path=tmp_path / "output.txt"
+        )
+        assert 0 < report.totals["solv"] < 0.3 <= report.totals["solv#2"]
+
+    def test_separate_mode_prints_both_names(self, capsys):
+        code, out, _ = run_cli(capsys, "-s", "a U b")
+        assert code == 0
+        assert any(line.startswith("solv: sat\t") for line in out)
+        assert any(line.startswith("solv#2: unsat\t") for line in out)
 
 
 class TestConsoleEntryPoint:

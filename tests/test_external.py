@@ -15,11 +15,11 @@ from polsat.external import (
     invoke,
     register,
 )
-from polsat.formulas import ALTERNATE_DIALECT, parse, render
+from polsat.formulas import parse, render
 from polsat.lasso import LassoWord
 from polsat.portfolio import race
 
-from conftest import sh_stub, sleeper_stub
+from conftest import live_processes, requires_proc, sh_stub, sleeper_stub
 
 
 @pytest.fixture
@@ -166,30 +166,27 @@ class TestInvoke:
             time.sleep(0.05)
 
     def test_kill_escalation_for_term_ignorers(self, stub_dir):
-        spec = ExternalSolverSpec(
-            stub_dir("stubborn", sleeper_stub(10, ignore_term=True)),
-            timeout_grace=0.3,
-        )
+        spec = ExternalSolverSpec(stub_dir("stubborn", sleeper_stub(10, ignore_term=True)))
         t0 = time.monotonic()
         record = invoke(spec, parse("a"), 0.2)
         wall = time.monotonic() - t0
         assert record.verdict.reason == "timeout"
         assert wall < 2.0
 
-    def test_formula_rendered_in_spec_dialect(self, stub_dir, tmp_path):
+    def test_formula_passed_as_one_argument(self, stub_dir, tmp_path):
         sink = tmp_path / "seen.txt"
         echo = stub_dir(
             "echoarg", f'#!/bin/sh\nprintf %s "$1" > {sink}\necho sat\n'
         )
         f = parse("G (a -> F b)")
-        invoke(ExternalSolverSpec(echo, dialect=ALTERNATE_DIALECT), f, 5.0)
-        assert sink.read_text() == render(f, ALTERNATE_DIALECT)
+        invoke(ExternalSolverSpec(echo), f, 5.0)
+        assert sink.read_text() == render(f)
         assert parse(sink.read_text()) == f
 
 
 class TestProcessHygiene:
+    @requires_proc
     def test_no_orphans_after_races(self, stub_dir):
-        psutil = pytest.importorskip("psutil")
         fast = as_solver_spec(ExternalSolverSpec(stub_dir("fastsat", sh_stub(["sat"]))))
         slow_path = stub_dir("slowpoke", sleeper_stub(10))
         slow = as_solver_spec(ExternalSolverSpec(slow_path))
@@ -198,13 +195,8 @@ class TestProcessHygiene:
             result = race(f, [slow, fast], 10.0)
             assert result.verdict.is_sat
         deadline = time.monotonic() + 1.5
-        me = psutil.Process()
         while time.monotonic() < deadline:
-            leftovers = [
-                p
-                for p in me.children(recursive=True)
-                if slow_path in " ".join(p.cmdline() or [])
-            ]
+            leftovers = live_processes(slow_path)
             if not leftovers:
                 break
             time.sleep(0.05)

@@ -8,6 +8,7 @@ from polsat.formulas import parse
 from polsat.lasso import LassoWord, evaluate
 from polsat.portfolio import (
     RunRecord,
+    SolverSpec,
     arbitrate,
     internal_solvers,
     race,
@@ -24,6 +25,13 @@ def stub_solver(stub_dir):
         return as_solver_spec(ExternalSolverSpec(path), supports_evidence)
 
     return make
+
+
+def crashing_solver(name="crasher"):
+    def run(formula, timeout, cancel):
+        raise RuntimeError("boom")
+
+    return SolverSpec(name, "external", run)
 
 
 class TestRace:
@@ -98,6 +106,11 @@ class TestRace:
         with pytest.raises(ValueError):
             race(parse("a"), [a, a], 1.0)
 
+    def test_crashing_solver_does_not_stop_the_race(self):
+        result = race(parse("a U b"), [crashing_solver()] + internal_solvers()[:1], 10.0)
+        assert result.verdict.is_sat
+        assert result.winner == "tableau"
+
     def test_winner_verdict_provenance(self, stub_solver):
         # The winner's own record carries the reported verdict.
         unsat_stub = stub_solver("sayno", sh_stub(["unsat"]))
@@ -132,6 +145,14 @@ class TestRunAll:
         assert by_name["fastsat"].verdict.is_sat
         assert by_name["slowpoke"].verdict.reason == "timeout"
         assert by_name["slowpoke"].elapsed == 0.5
+
+    def test_crashing_solver_yields_a_measured_error_record(self):
+        records = run_all(parse("a U b"), [crashing_solver()] + internal_solvers()[:1], 10.0)
+        crashed = {r.solver: r for r in records}["crasher"]
+        assert crashed.verdict.kind == "unknown"
+        assert crashed.verdict.reason == "solver-error"
+        assert "boom" in crashed.verdict.detail
+        assert crashed.elapsed < 1.0  # measured, not charged the 10 s timeout
 
     def test_disagreement_left_to_arbitrate(self, stub_solver):
         wrong = stub_solver("sayno", sh_stub(["unsat"]))
