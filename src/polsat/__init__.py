@@ -22,7 +22,6 @@ from .formulas import (
     TrueConst,
     Until,
     closure,
-    desugar,
     nnf,
     node_count,
     parse,

@@ -39,6 +39,7 @@ from .formulas import (
     Release,
     TrueConst,
     Until,
+    closure,
     nnf,
     prop_names,
 )
@@ -181,34 +182,26 @@ class _Tableau:
 
     def __init__(self, root: Formula, budget: Budget) -> None:
         self.budget = budget
-        # Rank the closure of ``root`` in pre-order, left first (the order
-        # of ``closure``), filling in argument ranks as the walk meets them.
-        rank: dict[Formula, int] = {}
+        order = closure(root)
+        rank = {g: r for r, g in enumerate(order)}
         kind: list[int] = []
         arg1: list[int] = []  # operand / left (the proposition, for a negation)
         arg2: list[int] = []  # right
         props: list[tuple[int, str]] = []  # (bit, name) per proposition
-        stack: list[tuple[Formula, list[int], int]] = [(root, [0], 0)]
-        while stack:
-            g, slot, parent = stack.pop()
-            r = rank.get(g)
-            if r is None:
-                r = rank[g] = len(kind)
-                t = type(g)
-                k = _KIND_OF.get(t)
-                if k is None or (t is Not and type(g.operand) is not Prop):
-                    raise TypeError(f"formula not in negation normal form: {g!r}")
-                kind.append(k)
-                arg1.append(-1)
+        for r, g in enumerate(order):
+            t = type(g)
+            k = _KIND_OF.get(t)
+            if k is None or (t is Not and type(g.operand) is not Prop):
+                raise TypeError(f"formula not in negation normal form: {g!r}")
+            kind.append(k)
+            if k >= _K_AND:
+                arg1.append(rank[g.left])
+                arg2.append(rank[g.right])
+            else:
+                arg1.append(rank[g.operand] if k == _K_NEXT or t is Not else -1)
                 arg2.append(-1)
-                if k >= _K_AND:
-                    stack.append((g.right, arg2, r))
-                    stack.append((g.left, arg1, r))
-                elif k == _K_NEXT or t is Not:
-                    stack.append((g.operand, arg1, r))
-                elif t is Prop:
+                if t is Prop:
                     props.append((1 << r, g.name))
-            slot[parent] = r
 
         n = len(kind)
         next_rank = {arg1[r]: r for r in range(n) if kind[r] == _K_NEXT}
@@ -388,12 +381,7 @@ def tableau_check(f: Formula, budget: Budget | None = None) -> Verdict:
         budget = Budget()
     words: list[LassoWord] = []
     unknown: str | None = None
-    g = nnf(f)
-    try:
-        budget.charge(0)  # normalising a large formula takes long: poll before walking it
-    except _Stop as stop:
-        return Verdict("unknown", reason=stop.reason)
-    for component in _components(g):
+    for component in _components(nnf(f)):
         try:
             verdict = _check_component(component, budget)
         except _Stop as stop:
@@ -675,7 +663,7 @@ def sat_shortcut(f: Formula, budget: Budget | None = None) -> LassoWord | None:
     """
     if budget is None:
         budget = Budget()
-    family = _obligation_family(nnf(f))
+    family = _obligation_family(nnf(f), {})
     if family is None:
         return None
     try:
@@ -699,7 +687,16 @@ def sat_shortcut(f: Formula, budget: Budget | None = None) -> LassoWord | None:
     return None
 
 
-def _obligation_family(g: Formula) -> list[frozenset[Literal]] | None:
+def _obligation_family(g: Formula, memo: dict) -> list[frozenset[Literal]] | None:
+    """The obligation family of ``g``, or None when it outgrows the cap;
+    computed once per distinct subformula (``memo``), so shared subterms
+    of an :func:`nnf` DAG cost one visit."""
+    if g not in memo:
+        memo[g] = _obligations(g, memo)
+    return memo[g]
+
+
+def _obligations(g: Formula, memo: dict) -> list[frozenset[Literal]] | None:
     t = type(g)
     if t is TrueConst:
         return [frozenset()]
@@ -710,23 +707,23 @@ def _obligation_family(g: Formula) -> list[frozenset[Literal]] | None:
     if t is Not:
         return [frozenset({(g.operand.name, False)})]
     if t is Next:
-        return _obligation_family(g.operand)
+        return _obligation_family(g.operand, memo)
     if t in (Until, Release):
-        return _obligation_family(g.right)
+        return _obligation_family(g.right, memo)
     if t is Or:
-        left = _obligation_family(g.left)
+        left = _obligation_family(g.left, memo)
         if left is None:
             return None
-        right = _obligation_family(g.right)
+        right = _obligation_family(g.right, memo)
         if right is None:
             return None
         merged = list(dict.fromkeys(left + right))
         return merged if len(merged) <= _FAMILY_CAP else None
     if t is And:
-        left = _obligation_family(g.left)
+        left = _obligation_family(g.left, memo)
         if left is None:
             return None
-        right = _obligation_family(g.right)
+        right = _obligation_family(g.right, memo)
         if right is None:
             return None
         if len(left) * len(right) > _FAMILY_CAP:
@@ -754,10 +751,10 @@ def run_strategy(name: str, f: Formula, budget: Budget) -> Verdict:
         word = sat_shortcut(f, budget)
         if word is not None:
             return Verdict.sat(word)
-        if budget.cancel is not None and budget.cancel.is_set():
-            return Verdict.cancelled()
-        if budget.deadline is not None and time.monotonic() > budget.deadline:
-            return Verdict.timeout()
+        try:
+            budget.charge(0)  # did it run out of budget, or out of candidates?
+        except _Stop as stop:
+            return Verdict("unknown", reason=stop.reason)
         return Verdict.error("no one-state candidate survived evaluation")
     raise ValueError(f"unknown strategy {name!r}")
 

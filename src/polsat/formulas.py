@@ -41,7 +41,6 @@ __all__ = [
     "ParseError",
     "parse",
     "render",
-    "desugar",
     "nnf",
     "closure",
     "node_count",
@@ -532,129 +531,111 @@ def render(f: Formula, dialect: Dialect = DEFAULT_DIALECT) -> str:
 # Normal forms
 
 
-def desugar(f: Formula) -> Formula:
-    """Rewrite ``->``, ``<->``, ``G`` and ``F`` into the core operators.
-
-    G p becomes (false R p), F p becomes (true U p), p -> q becomes
-    (!p | q), and p <-> q becomes ((!p | q) & (p | !q)).  Semantics are
-    preserved; the result contains no Implies, Iff, Globally or Finally
-    nodes.
-    """
-    t = type(f)
-    if t in (TrueConst, FalseConst, Prop):
-        return f
-    if t is Not:
-        g = desugar(f.operand)
-        return f if g is f.operand else Not(g)
-    if t is Next:
-        g = desugar(f.operand)
-        return f if g is f.operand else Next(g)
-    if t is Globally:
-        return Release(FALSE, desugar(f.operand))
-    if t is Finally:
-        return Until(TRUE, desugar(f.operand))
-    left = desugar(f.left)
-    right = desugar(f.right)
-    if t is Implies:
-        return Or(Not(left), right)
-    if t is Iff:
-        return And(Or(Not(left), right), Or(left, Not(right)))
-    if left is f.left and right is f.right:
-        return f
-    return t(left, right)
-
-
 def nnf(f: Formula) -> Formula:
     """Negation normal form: negations only directly above propositions.
 
     The result uses only True/False/Prop/Not-of-Prop/And/Or/Next/Until/
-    Release and is semantically equivalent to ``f``.
+    Release and is semantically equivalent to ``f``.  Each compound
+    subformula is normalised once per polarity, so equal subformulas share
+    one result: the result is a DAG linear in the size of ``f``, even where
+    its tree (``<->`` nesting) is exponential.
     """
-    return _nnf_pos(f)
+    return _nnf(f, True, ({}, {}))
 
 
-def _nnf_pos(f: Formula) -> Formula:
+def _nnf(f: Formula, positive: bool, memo: tuple[dict, dict]) -> Formula:
+    """``nnf`` of ``f`` or of its negation; ``memo`` holds the results of
+    the negative and the positive polarity, in that order."""
     t = type(f)
-    if t in (TrueConst, FalseConst, Prop):
-        return f
+    if t is Prop:  # leaves are cheap to rebuild and need no memo
+        return f if positive else Not(f)
+    if t is TrueConst or t is FalseConst:
+        return f if positive else (FALSE if t is TrueConst else TRUE)
+    done = memo[positive]
+    g = done.get(f)
+    if g is None:
+        g = done[f] = _nnf_pos(f, memo) if positive else _nnf_neg(f, memo)
+    return g
+
+
+def _nnf_pos(f: Formula, memo: tuple[dict, dict]) -> Formula:
+    t = type(f)
     if t is Not:
-        return _nnf_neg(f.operand)
+        return _nnf(f.operand, False, memo)
     if t is Next:
-        g = _nnf_pos(f.operand)
+        g = _nnf(f.operand, True, memo)
         return f if g is f.operand else Next(g)
     if t is Globally:
-        return Release(FALSE, _nnf_pos(f.operand))
+        return Release(FALSE, _nnf(f.operand, True, memo))
     if t is Finally:
-        return Until(TRUE, _nnf_pos(f.operand))
+        return Until(TRUE, _nnf(f.operand, True, memo))
     if t is Implies:
-        return Or(_nnf_neg(f.left), _nnf_pos(f.right))
+        return Or(_nnf(f.left, False, memo), _nnf(f.right, True, memo))
+    left = _nnf(f.left, True, memo)
+    right = _nnf(f.right, True, memo)
     if t is Iff:
         return And(
-            Or(_nnf_neg(f.left), _nnf_pos(f.right)),
-            Or(_nnf_pos(f.left), _nnf_neg(f.right)),
+            Or(_nnf(f.left, False, memo), right),
+            Or(left, _nnf(f.right, False, memo)),
         )
-    left = _nnf_pos(f.left)
-    right = _nnf_pos(f.right)
     if left is f.left and right is f.right:
         return f
     return t(left, right)
 
 
-def _nnf_neg(f: Formula) -> Formula:
+def _nnf_neg(f: Formula, memo: tuple[dict, dict]) -> Formula:
     t = type(f)
-    if t is TrueConst:
-        return FALSE
-    if t is FalseConst:
-        return TRUE
-    if t is Prop:
-        return Not(f)
     if t is Not:
-        return _nnf_pos(f.operand)
+        return _nnf(f.operand, True, memo)
     if t is Next:
-        return Next(_nnf_neg(f.operand))
+        return Next(_nnf(f.operand, False, memo))
     if t is Globally:
         # !(G p) == true U !p
-        return Until(TRUE, _nnf_neg(f.operand))
+        return Until(TRUE, _nnf(f.operand, False, memo))
     if t is Finally:
         # !(F p) == false R !p
-        return Release(FALSE, _nnf_neg(f.operand))
-    if t is And:
-        return Or(_nnf_neg(f.left), _nnf_neg(f.right))
-    if t is Or:
-        return And(_nnf_neg(f.left), _nnf_neg(f.right))
+        return Release(FALSE, _nnf(f.operand, False, memo))
     if t is Implies:
-        return And(_nnf_pos(f.left), _nnf_neg(f.right))
+        return And(_nnf(f.left, True, memo), _nnf(f.right, False, memo))
+    left = _nnf(f.left, False, memo)
+    right = _nnf(f.right, False, memo)
+    if t is And:
+        return Or(left, right)
+    if t is Or:
+        return And(left, right)
     if t is Iff:
         return Or(
-            And(_nnf_pos(f.left), _nnf_neg(f.right)),
-            And(_nnf_neg(f.left), _nnf_pos(f.right)),
+            And(_nnf(f.left, True, memo), right),
+            And(left, _nnf(f.right, True, memo)),
         )
     if t is Until:
         # !(a U b) == !a R !b
-        return Release(_nnf_neg(f.left), _nnf_neg(f.right))
+        return Release(left, right)
     if t is Release:
-        return Until(_nnf_neg(f.left), _nnf_neg(f.right))
+        return Until(left, right)
     raise TypeError(f"not a formula: {f!r}")
 
 
 def closure(f: Formula) -> tuple[Formula, ...]:
     """All subformulas of ``f``, ordered by first appearance in a pre-order
     (left-to-right) traversal, without duplicates."""
-    out: list[Formula] = []
-    seen: set[Formula] = set()
+    rank: dict[Formula, int] = {}
     stack = [f]
     while stack:
         g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        out.append(g)
-        stack.extend(reversed(g.children()))
-    return tuple(out)
+        n = len(rank)
+        if rank.setdefault(g, n) == n:  # first appearance: one hash per visit
+            stack.extend(reversed(g.children()))
+    return tuple(rank)
 
 
 def node_count(f: Formula) -> int:
-    """Number of nodes in the syntax tree (duplicates counted)."""
+    """Number of nodes in the syntax tree, duplicates counted.
+
+    A shared subterm counts once per occurrence, so on an :func:`nnf`
+    result this is the size of the tree the DAG stands for (the
+    ``nnf_blowup`` figure of the benchmark reads it that way).
+    """
     total = 0
     stack = [f]
     while stack:
@@ -665,13 +646,16 @@ def node_count(f: Formula) -> int:
 
 
 def prop_names(f: Formula) -> frozenset[str]:
-    """Names of all propositions occurring in ``f``."""
+    """Names of all propositions occurring in ``f``; a node shared by
+    several parents (as in an :func:`nnf` result) is walked once."""
     names: set[str] = set()
+    walked: set[int] = set()  # ids of the compound nodes already walked
     stack = [f]
     while stack:
         g = stack.pop()
         if type(g) is Prop:
             names.add(g.name)
-        else:
+        elif id(g) not in walked:
+            walked.add(id(g))
             stack.extend(g.children())
     return frozenset(names)

@@ -32,6 +32,19 @@ requires_proc = pytest.mark.skipif(not (PROC / "self").exists(), reason="needs /
 #: checkout, ``site-packages`` when installed).
 POLSAT_PATH = str(Path(polsat.__file__).resolve().parent.parent)
 
+#: A 16-conjunct pattern formula that no internal solver decided in a 2 s
+#: race: ``tableau`` and ``lasso`` each stay undecided for over 20 s, and
+#: ``shortcut`` gives up within milliseconds.
+UNDECIDED = (
+    "((((((((((((((((p0 U p0) & (G (p1 -> (G (! p1))))) & (p0 U p1))"
+    " & (p0 U p2)) & (F (G p3))) & (G (p4 -> (F p5)))) & (F (G p3)))"
+    " & (F p0)) & (G (p1 -> (G (! p5))))) & (G (p6 -> (F (p5 & (X (F p6)))))))"
+    " & (G (p7 -> (F (p3 & (X (F p8)))))))"
+    " & ((F (p9 & (X (F p10)))) -> (((! p9) U p0) | (G (! p9)))))"
+    " & (G (! p10))) & (G (! p11))) & (F (G p6)))"
+    " & (G (p11 -> (F (p3 & (X (F p10)))))))"
+)
+
 UNARY = (Not, Next, Globally, Finally)
 BINARY = (And, Or, Implies, Iff, Until, Release)
 

@@ -34,6 +34,7 @@ from polsat.lasso import LassoWord, evaluate
 from polsat.portfolio import internal_solvers, race, run_all, arbitrate
 
 from conftest import (
+    UNDECIDED,
     child_env,
     fixture_text,
     live_processes,
@@ -320,14 +321,11 @@ def test_criterion_9_registration_persists(tmp_path):
         assert f"{stub} is added." in add.stdout.splitlines()
         assert registry.read_text().strip() == str(stub)
 
-        # Fresh process: the registered stub must take part in a race.  A
-        # deep iff tower stalls the internal solvers, so the instant stub
-        # is the only one that can answer in time.
-        tower = "a"
-        for _ in range(16):
-            tower = f"({tower} <-> (a <-> b))"
+        # Fresh process: the registered stub must take part in a race.  No
+        # internal solver decides UNDECIDED for many seconds, so the instant
+        # stub is the only one that can answer in time.
         oneshot = subprocess.run(
-            [sys.executable, "-m", "polsat", "--timeout", "30", tower],
+            [sys.executable, "-m", "polsat", "--timeout", "30", UNDECIDED],
             capture_output=True,
             text=True,
             stdin=subprocess.DEVNULL,

@@ -13,7 +13,7 @@ from polsat.portfolio import run_all
 from polsat.formulas import parse
 from polsat.lasso import evaluate, parse_evidence
 
-from conftest import child_env, sh_stub
+from conftest import UNDECIDED, child_env, sh_stub
 
 TIME_RE = re.compile(r"^eclipse time: \d+(\.\d+)?s$")
 
@@ -65,12 +65,9 @@ class TestOneShot:
         assert "position" in err
 
     def test_all_timeout_exits_two(self, capsys):
-        # A deep iff tower stalls every internal solver well past a tiny
-        # timeout, so the race ends with nobody answering.
-        tower = "a"
-        for _ in range(12):
-            tower = f"({tower} <-> (a <-> b))"
-        code, out, _ = run_cli(capsys, "--timeout", "0.05", tower)
+        # No internal solver decides UNDECIDED within a tiny timeout, so the
+        # race ends with nobody answering.
+        code, out, _ = run_cli(capsys, "--timeout", "0.05", UNDECIDED)
         assert code == 2
         assert out[0] == "unknown"
         assert out[1] == "from none"

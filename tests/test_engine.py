@@ -92,8 +92,9 @@ class TestTableau:
         assert v.kind == "unknown" and v.reason == "timeout"
 
     def test_cancellation_is_prompt(self):
-        # A deeply nested iff tower makes the expansion slog; cancellation
-        # must cut it off almost immediately.
+        # A deeply nested iff tower makes the expansion slog (hundreds of
+        # millions of charges, so it cannot finish first); cancellation must
+        # cut it off almost immediately.
         f = Prop("a")
         rng = random.Random(3)
         for _ in range(12):
@@ -113,9 +114,23 @@ class TestTableau:
         waited = time.monotonic() - t0
         assert not t.is_alive()
         verdict = results["verdict"]
-        if verdict.kind == "unknown":  # it had not finished when the flag was set
-            assert verdict.reason == "cancelled"
-            assert waited < 0.2
+        assert verdict.kind == "unknown" and verdict.reason == "cancelled"
+        assert waited < 0.2
+
+    def test_iff_towers_decided_in_time(self):
+        # Normalising the tower once per subformula keeps it linear: the
+        # 16-level tower and the same tower taken twice are both decided
+        # well within a second.
+        tower = "a"
+        for _ in range(16):
+            tower = f"({tower} <-> (a <-> b))"
+        for text in (tower, f"({tower}) & ({tower})"):
+            f = parse(text)
+            for name in ("tableau", "shortcut"):
+                budget = Budget(max_nodes=None, deadline=time.monotonic() + 1.0)
+                v = run_strategy(name, f, budget)
+                assert v.is_sat, (name, text, v)
+                assert evaluate(v.evidence, f)
 
     def test_oracle_agreement_small_exhaustive(self):
         # Every formula of up to 5 nodes over {p, q}: the brute-force lasso
@@ -292,6 +307,9 @@ class TestEngineAgreement:
         assert no_win.kind == "unknown" and no_win.reason == "solver-error"
         gave_up = run_strategy("lasso", parse("p & !p"), Budget())
         assert gave_up.kind == "unknown" and gave_up.reason == "solver-error"
+        f = parse("(a | b) & (c | d) & (e | f) & G (a -> X !a) & F g & G !g")
+        out_of_nodes = run_strategy("shortcut", f, Budget(max_nodes=2))
+        assert out_of_nodes.kind == "unknown" and out_of_nodes.reason == "timeout"
 
     def test_lasso_strategy_deepens_one_graph(self):
         # The race's lasso strategy finds the same word as one deepening

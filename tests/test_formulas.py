@@ -22,7 +22,6 @@ from polsat.formulas import (
     TrueConst,
     Until,
     closure,
-    desugar,
     nnf,
     node_count,
     parse,
@@ -174,45 +173,6 @@ class TestRender:
             assert parse(render(f, d)) == f
 
 
-class TestDesugar:
-    def test_finally_becomes_until(self):
-        assert desugar(Finally(Prop("p"))) == Until(TRUE, Prop("p"))
-
-    def test_globally_becomes_release(self):
-        assert desugar(Globally(Prop("p"))) == Release(FALSE, Prop("p"))
-
-    def test_core_operators_unchanged(self):
-        f = Until(Prop("a"), Not(Prop("b")))
-        assert desugar(f) == f
-
-    def test_no_sugar_remains(self):
-        rng = random.Random(7)
-        banned = (Implies, Iff, Globally, Finally)
-        for _ in range(300):
-            f = desugar(random_formula(rng, rng.randint(1, 30), PROPS))
-            assert not any(isinstance(g, banned) for g in closure(f))
-
-    def test_semantics_preserved(self):
-        rng = random.Random(4242)
-        for _ in range(200):
-            f = random_formula(rng, rng.randint(1, 20), PROPS)
-            w = random_lasso(rng, PROPS)
-            assert evaluate(w, f) == evaluate(w, desugar(f))
-
-    def test_iff_on_ab_loop(self):
-        f = Iff(Prop("a"), Prop("b"))
-        w = random_lasso(random.Random(0), ("a", "b"))
-        for word in [w, w.unrolled_once()]:
-            assert evaluate(word, f) == evaluate(word, desugar(f))
-
-    def test_idempotent(self):
-        rng = random.Random(11)
-        for _ in range(300):
-            f = random_formula(rng, rng.randint(1, 25), PROPS)
-            once = desugar(f)
-            assert desugar(once) == once
-
-
 class TestNnf:
     def test_negated_until_dualizes(self):
         f = Not(Until(Prop("a"), Prop("b")))
@@ -220,6 +180,22 @@ class TestNnf:
 
     def test_double_negation(self):
         assert nnf(Not(Not(Prop("p")))) == Prop("p")
+
+    def test_finally_becomes_until(self):
+        assert nnf(Finally(Prop("p"))) == Until(TRUE, Prop("p"))
+
+    def test_globally_becomes_release(self):
+        assert nnf(Globally(Prop("p"))) == Release(FALSE, Prop("p"))
+
+    def test_core_operators_unchanged(self):
+        f = Until(Prop("a"), Not(Prop("b")))
+        assert nnf(f) == f
+
+    def test_iff_on_ab_loop(self):
+        f = Iff(Prop("a"), Prop("b"))
+        w = random_lasso(random.Random(0), ("a", "b"))
+        for word in [w, w.unrolled_once()]:
+            assert evaluate(word, f) == evaluate(word, nnf(f))
 
     def test_negated_release_dualizes(self):
         f = Not(Release(Prop("a"), Prop("b")))
