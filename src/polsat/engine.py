@@ -14,6 +14,11 @@ third-party binaries:
   loops from "obligation" literal sets and keeps a proposal only if the
   trace evaluator confirms it; sat-only, never authoritative on its own.
 
+Through :func:`run_strategy` each checks the variable-disjoint components
+(groups of top-level conjuncts) one at a time, stops at the first component
+it cannot show sat (Unsat for the tableau, Unknown(incomplete) for the
+sat-only two), and builds evidence only once every component is sat.
+
 Expansion rules: ``a U b`` expands to ``b | (a & X(a U b))``, ``a R b`` to
 ``b & (a | X(a R b))``; And/Or saturate; the successor obligation set is the
 set of operands of X-formulas in a node.
@@ -26,7 +31,7 @@ import threading
 import time
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .formulas import (
     And,
@@ -109,7 +114,8 @@ class Verdict:
 
     kind: str  # "sat" | "unsat" | "unknown"
     evidence: LassoWord | None = None
-    reason: str | None = None  # for unknown: "timeout" | "cancelled" | "solver-error"
+    # for unknown: "timeout" | "cancelled" | "incomplete" | "solver-error"
+    reason: str | None = None
     detail: str | None = None
 
     @classmethod
@@ -127,6 +133,11 @@ class Verdict:
     @classmethod
     def cancelled(cls) -> "Verdict":
         return cls("unknown", reason="cancelled")
+
+    @classmethod
+    def incomplete(cls, detail: str) -> "Verdict":
+        """A sat-only solver gave up: it can show sat, never unsat."""
+        return cls("unknown", reason="incomplete", detail=detail)
 
     @classmethod
     def error(cls, detail: str) -> "Verdict":
@@ -373,28 +384,36 @@ def tableau_check(f: Formula, budget: Budget | None = None) -> Verdict:
     tableau graph; Unsat means the graph was exhausted without one; budget
     exhaustion yields Unknown(timeout), cancellation Unknown(cancelled).
 
-    Variable-disjoint top-level conjuncts are checked independently and
-    their lassos merged, which keeps wide but loosely coupled conjunctions
-    (one contradictory conjunct among many independent ones) tractable.
+    Variable-disjoint components are checked one at a time, which keeps
+    wide but loosely coupled conjunctions tractable; lassos are extracted,
+    and merged, only once every component is sat.
     """
-    if budget is None:
-        budget = Budget()
-    words: list[LassoWord] = []
-    unknown: str | None = None
-    for component in _components(nnf(f)):
-        try:
-            verdict = _check_component(component, budget)
-        except _Stop as stop:
-            verdict = Verdict("unknown", reason=stop.reason)
-        if verdict.is_unsat:
-            return verdict
-        if verdict.is_sat:
-            words.append(verdict.evidence)
-        elif unknown is None or verdict.reason == "cancelled":
-            unknown = verdict.reason
-    if unknown is not None:
-        return Verdict("unknown", reason=unknown)
-    return Verdict.sat(_merge_words(words))
+    return run_strategy("tableau", f, Budget() if budget is None else budget)
+
+
+def _by_component(
+    f: Formula,
+    budget: Budget,
+    check: Callable[[Formula, Budget], Callable[[], LassoWord] | None],
+    unanswered: Verdict,
+) -> Verdict:
+    """Run ``check`` on each variable-disjoint component of ``f`` in turn.
+
+    For a component it shows sat, ``check`` returns a function that builds
+    the component's lasso; otherwise None.  The first None ends the run with
+    ``unanswered``: no later component can make the whole formula sat.  The
+    lassos are built, and merged, only once every component is sat.
+    """
+    try:
+        builds = []
+        for component in _components(nnf(f)):
+            build = check(component, budget)
+            if build is None:
+                return unanswered
+            builds.append(build)
+        return Verdict.sat(_merge_words([build() for build in builds]))
+    except _Stop as stop:
+        return Verdict("unknown", reason=stop.reason)
 
 
 def _components(g: Formula) -> list[Formula]:
@@ -459,12 +478,10 @@ def _merge_words(words: list[LassoWord]) -> LassoWord | None:
     return LassoWord(prefix, loop)
 
 
-def _check_component(g: Formula, budget: Budget) -> Verdict:
+def _tableau_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] | None:
     tab = _Tableau(g, budget)
     found = _accepting_scc(tab)
-    if found is None:
-        return Verdict.unsat()
-    return Verdict.sat(_extract_word(tab, *found))
+    return None if found is None else lambda: _extract_word(tab, *found)
 
 
 def _accepting_scc(tab: _Tableau) -> tuple[list[int], list[int]] | None:
@@ -580,23 +597,30 @@ def _path_within(
 def lasso_search(
     f: Formula, max_depth: int, budget: Budget | None = None
 ) -> LassoWord | None:
-    """Iterative-deepening search for an accepting lasso of total length
-    (prefix plus loop) at most ``max_depth``; never concludes unsat.
+    """Iterative-deepening search of the whole formula (not split into
+    components) for an accepting lasso of total length (prefix plus loop)
+    at most ``max_depth``; never concludes unsat.
 
     Budget exhaustion simply yields ``None``.
     """
     if budget is None:
         budget = Budget()
     try:
-        return _lasso_search(f, max_depth, budget)
+        return _lasso_search(nnf(f), max_depth, budget)
     except _Stop:
         return None
 
 
-def _lasso_search(f: Formula, max_depth: int, budget: Budget) -> LassoWord | None:
-    """Deepen one level at a time on one graph; stops early, with None,
-    once a depth is not reached because the whole graph fits within it."""
-    tab = _Tableau(nnf(f), budget)
+def _lasso_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] | None:
+    word = _lasso_search(g, sys.maxsize, budget)
+    return None if word is None else lambda: word
+
+
+def _lasso_search(g: Formula, max_depth: int, budget: Budget) -> LassoWord | None:
+    """Deepen one level at a time on one graph of the NNF formula ``g``;
+    stops early, with None, once a depth is not reached because the whole
+    graph fits within it."""
+    tab = _Tableau(g, budget)
     init_ids = tab.initial_ids()
     for depth in range(1, max_depth + 1):
         word, limited = _bounded_dfs(tab, init_ids, depth)
@@ -657,33 +681,23 @@ def sat_shortcut(f: Formula, budget: Budget | None = None) -> LassoWord | None:
     Obligations: a literal obliges itself; X/U/R defer to the operand or
     right-hand side; conjunction takes pairwise unions; disjunction takes
     either side's family.  A consistent obligation set yields the candidate
-    word looping its positive literals forever, which is returned only if
-    the trace evaluator confirms it.  Soundness comes entirely from that
-    confirmation; this is a filter, not a solver.
+    word looping its positive literals forever, which is kept only if the
+    trace evaluator confirms it.  Soundness comes entirely from that
+    confirmation; this is a filter, not a solver.  Each variable-disjoint
+    component gets its own family, so families add, not multiply.
     """
-    if budget is None:
-        budget = Budget()
-    family = _obligation_family(nnf(f), {})
-    if family is None:
-        return None
-    try:
-        for literals in family:
-            budget.charge()
-            by_name: dict[str, bool] = {}
-            consistent = True
-            for name, positive in literals:
-                if by_name.setdefault(name, positive) != positive:
-                    consistent = False
-                    break
-            if not consistent:
-                continue
-            word = LassoWord(
-                (), (frozenset(name for name, positive in literals if positive),)
-            )
-            if evaluate(word, f):
-                return word
-    except _Stop:
-        return None
+    return run_strategy("shortcut", f, Budget() if budget is None else budget).evidence
+
+
+def _shortcut_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] | None:
+    for literals in _obligation_family(g, {}) or ():
+        budget.charge()
+        by_name: dict[str, bool] = {}
+        if any(by_name.setdefault(name, pos) != pos for name, pos in literals):
+            continue
+        word = LassoWord((), (frozenset(name for name, pos in literals if pos),))
+        if evaluate(word, g):
+            return lambda: word
     return None
 
 
@@ -739,31 +753,20 @@ def _obligations(g: Formula, memo: dict) -> list[frozenset[Literal]] | None:
 def run_strategy(name: str, f: Formula, budget: Budget) -> Verdict:
     """Run one internal solver to a verdict under ``budget``.
 
-    Internal solvers that legitimately cannot answer (the sat-only searches
-    on an unsatisfiable input) report Unknown(solver-error) so the
-    portfolio keeps waiting on the others.
+    Each solver checks the variable-disjoint components of ``f`` one at a
+    time.  The sat-only searches report Unknown(incomplete) at the first
+    component they cannot show sat, so the portfolio keeps waiting on the
+    others.
     """
-    if name == "tableau":
-        return tableau_check(f, budget)
-    if name == "lasso":
-        return _lasso_strategy(f, budget)
-    if name == "shortcut":
-        word = sat_shortcut(f, budget)
-        if word is not None:
-            return Verdict.sat(word)
-        try:
-            budget.charge(0)  # did it run out of budget, or out of candidates?
-        except _Stop as stop:
-            return Verdict("unknown", reason=stop.reason)
-        return Verdict.error("no one-state candidate survived evaluation")
-    raise ValueError(f"unknown strategy {name!r}")
+    if name not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}")
+    return _by_component(f, budget, *_STRATEGIES[name])
 
 
-def _lasso_strategy(f: Formula, budget: Budget) -> Verdict:
-    try:
-        word = _lasso_search(f, sys.maxsize, budget)
-    except _Stop as stop:
-        return Verdict("unknown", reason=stop.reason)
-    if word is not None:
-        return Verdict.sat(word)
-    return Verdict.error("no accepting lasso in the whole reachable graph")
+#: Per internal solver: its check on one component, and the verdict for a
+#: formula with a component that check cannot show sat.
+_STRATEGIES = {
+    "tableau": (_tableau_component, Verdict.unsat()),
+    "lasso": (_lasso_component, Verdict.incomplete("no accepting lasso in a component")),
+    "shortcut": (_shortcut_component, Verdict.incomplete("no candidate in a component")),
+}

@@ -266,6 +266,18 @@ class TestSatShortcut:
 
     def test_family_cap_gives_up(self):
         assert sat_shortcut(gen_O1(100)) is None
+        # One component (every conjunct mentions p) whose product family
+        # outgrows the cap, though {p} alone would be a model.
+        f = parse(" & ".join(f"(p | a{i})" for i in range(1, 14)))
+        assert tableau_check(f).is_sat
+        assert sat_shortcut(f) is None
+
+    def test_split_families_add_up(self):
+        # Twenty variable-disjoint choices: a product family of 2^20 sets,
+        # but twenty families of two, one component at a time.
+        f = parse(" & ".join(f"(a{i} | b{i})" for i in range(1, 21)))
+        verdict = run_strategy("shortcut", f, Budget())
+        assert verdict.is_sat and evaluate(verdict.evidence, f)
 
     def test_never_unsound(self):
         rng = random.Random(99)
@@ -304,9 +316,9 @@ class TestEngineAgreement:
         assert run_strategy("lasso", f, Budget()).is_sat
         assert run_strategy("shortcut", f, Budget()).is_sat
         no_win = run_strategy("shortcut", parse("p & !p"), Budget())
-        assert no_win.kind == "unknown" and no_win.reason == "solver-error"
+        assert no_win.kind == "unknown" and no_win.reason == "incomplete"
         gave_up = run_strategy("lasso", parse("p & !p"), Budget())
-        assert gave_up.kind == "unknown" and gave_up.reason == "solver-error"
+        assert gave_up.kind == "unknown" and gave_up.reason == "incomplete"
         f = parse("(a | b) & (c | d) & (e | f) & G (a -> X !a) & F g & G !g")
         out_of_nodes = run_strategy("shortcut", f, Budget(max_nodes=2))
         assert out_of_nodes.kind == "unknown" and out_of_nodes.reason == "timeout"
@@ -321,6 +333,16 @@ class TestEngineAgreement:
         assert verdict.is_sat
         assert print_evidence(verdict.evidence) == print_evidence(word)
         assert raced.nodes <= solo.nodes
+
+    def test_sat_only_solvers_give_up_at_the_unsat_component(self):
+        # gen_O1's last component, G c & X !c, has no lasso; the sat-only
+        # solvers stop there instead of searching the 2^300-branch product.
+        for name in ("lasso", "shortcut"):
+            budget = Budget(max_nodes=None, deadline=time.monotonic() + 5.0)
+            start = time.monotonic()
+            verdict = run_strategy(name, gen_O1(300), budget)
+            assert verdict.kind == "unknown" and verdict.reason == "incomplete"
+            assert time.monotonic() - start < 1.0
 
     def test_o1_family_unsat_via_tableau(self):
         for n in (1, 5, 20, 100):

@@ -42,6 +42,17 @@ class TestRace:
         assert result.winner in ("tableau", "lasso", "shortcut")
         assert result.verdict.kind == "sat"
 
+    def test_split_formula_evidence_is_valid(self):
+        # 22 variable-disjoint components; every solver alone must merge
+        # its per-component lassos into one word the race accepts.
+        parts = [f"(a{i} | b{i})" for i in range(1, 21)] + ["G F c", "F G !d"]
+        f = parse(" & ".join(parts))
+        for spec in internal_solvers():
+            result = race(f, [spec], 10.0, want_evidence=True)
+            assert result.winner == spec.name
+            assert result.verdict.is_sat and result.verdict.evidence is not None
+            assert evaluate(result.verdict.evidence, f)
+
     def test_fast_stub_beats_sleeper(self, stub_solver):
         f = parse("a U b")
         fast = stub_solver("fastsat", sh_stub(["sat"]))
