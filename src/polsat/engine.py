@@ -17,7 +17,9 @@ third-party binaries:
 Through :func:`run_strategy` each checks the variable-disjoint components
 (groups of top-level conjuncts) one at a time, stops at the first component
 it cannot show sat (Unsat for the tableau, Unknown(incomplete) for the
-sat-only two), and builds evidence only once every component is sat.
+sat-only two), and builds evidence only once every component is sat.  The
+solvers of one race share the split and skip the components another of them
+has shown sat.
 
 Expansion rules: ``a U b`` expands to ``b | (a & X(a U b))``, ``a R b`` to
 ``b & (a | X(a R b))``; And/Or saturate; the successor obligation set is the
@@ -29,6 +31,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Iterator
@@ -277,7 +280,7 @@ class _Tableau:
         budget = self.budget
         steps, batch = 0, budget._batch()
         out: dict[int, None] = {}
-        stack: list[tuple[int, int]] = [(0, obligations)]
+        stack: list[tuple[int, int]] = [(0, obligations & ~true_bit)]
         while stack:
             done, todo = stack.pop()
             # Follow one branch to its end; alternatives wait on ``stack``.
@@ -301,7 +304,7 @@ class _Tableau:
                     done |= bit
                 elif k == _K_AND:
                     done |= bit
-                    todo |= ((1 << arg1[g]) | (1 << arg2[g])) & ~done
+                    todo |= ((1 << arg1[g]) | (1 << arg2[g])) & ~(done | true_bit)
                 elif k == _K_OR:
                     done |= bit
                     a, b = arg1[g], arg2[g]
@@ -318,18 +321,21 @@ class _Tableau:
                     done |= bit
                     if not done & 1 << arg2[g]:
                         # delay (explored second) or fulfil now
-                        stack.append((done, todo | 1 << arg1[g] | 1 << next_of[g]))
-                        todo |= 1 << arg2[g]
+                        delay = (1 << arg1[g] | 1 << next_of[g]) & ~true_bit
+                        stack.append((done, todo | delay))
+                        todo |= 1 << arg2[g] & ~true_bit
                 elif k == _K_RELEASE:
                     done |= bit
-                    todo |= 1 << arg2[g] & ~done
-                    if not done & (1 << arg1[g] | 1 << next_of[g]):
+                    todo |= 1 << arg2[g] & ~(done | true_bit)
+                    if kind[arg1[g]] == _K_FALSE:  # G: never released
+                        todo |= 1 << next_of[g] & ~done
+                    elif not done & (1 << arg1[g] | 1 << next_of[g]):
                         # keep releasing (explored second) or release now
                         stack.append((done, todo | 1 << next_of[g]))
-                        todo |= 1 << arg1[g]
+                        todo |= 1 << arg1[g] & ~true_bit
                 elif k == _K_FALSE:
                     break
-                # True holds everywhere and is never recorded in a node.
+                # True holds everywhere: it never enters ``todo`` or a node.
         if steps:
             budget.charge(steps)
         nodes, node_sets = self.nodes, self.node_sets
@@ -391,6 +397,28 @@ def tableau_check(f: Formula, budget: Budget | None = None) -> Verdict:
     return run_strategy("tableau", f, Budget() if budget is None else budget)
 
 
+class _Split:
+    """A formula's components, split once, and the lasso builder of each
+    component shown sat.  A builder only walks edges its search cached, so
+    it charges nothing, even after its solver has been cancelled."""
+
+    def __init__(self, formula: Formula) -> None:
+        self.formula = formula
+        self.sat: dict[int, Callable[[], LassoWord]] = {}
+        self._lock = threading.Lock()
+        self._components: list[Formula] | None = None
+
+    def components(self) -> list[Formula]:
+        with self._lock:  # the other solvers wait instead of splitting too
+            if self._components is None:
+                self._components = _components(nnf(self.formula))
+        return self._components
+
+
+#: The split of the race whose solver thread this is; None outside a race.
+_RACE_SPLIT: ContextVar[_Split | None] = ContextVar("polsat_race_split", default=None)
+
+
 def _by_component(
     f: Formula,
     budget: Budget,
@@ -402,14 +430,22 @@ def _by_component(
     For a component it shows sat, ``check`` returns a function that builds
     the component's lasso; otherwise None.  The first None ends the run with
     ``unanswered``: no later component can make the whole formula sat.  The
-    lassos are built, and merged, only once every component is sat.
+    lassos are built, and merged, only once every component is sat.  In a
+    race the solvers share one :class:`_Split`, so none re-checks a
+    component another has shown sat.
     """
+    split = _RACE_SPLIT.get()
+    if split is None or split.formula is not f:
+        split = _Split(f)
     try:
         builds = []
-        for component in _components(nnf(f)):
-            build = check(component, budget)
+        for i, component in enumerate(split.components()):
+            build = split.sat.get(i)
             if build is None:
-                return unanswered
+                build = check(component, budget)
+                if build is None:
+                    return unanswered
+                split.sat[i] = build
             builds.append(build)
         return Verdict.sat(_merge_words([build() for build in builds]))
     except _Stop as stop:

@@ -6,6 +6,9 @@ external processes via terminate-then-kill).  ``run_all`` instead lets every
 solver finish and :func:`arbitrate` checks the answers for consistency,
 which is what makes the portfolio usable as a solver-testing platform.
 
+In a race the internal solvers split the formula once and share which
+components they have shown sat; in ``run_all`` every solver works alone.
+
 Both start solvers through one launcher.  It names every record after its
 :class:`SolverSpec`, turns a solver that raises into an Unknown(solver-error)
 record, and applies one accounting rule: a timed-out run costs exactly the
@@ -21,7 +24,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
-from .engine import Budget, Verdict, run_strategy
+from .engine import _RACE_SPLIT, Budget, Verdict, _Split, run_strategy
 from .formulas import Formula
 from .lasso import evaluate
 
@@ -67,7 +70,7 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class PortfolioResult:
-    """Outcome of a race: the verdict, who produced it, and when."""
+    """A race's verdict, who produced it and when, and every record received."""
 
     verdict: Verdict
     winner: str
@@ -126,6 +129,7 @@ def _launch(
     solvers: list[SolverSpec],
     timeout: float,
     cancels: list[threading.Event],
+    split: _Split | None = None,
 ) -> Iterator[tuple[int, RunRecord]]:
     """Start one daemon thread per solver and yield ``(index, record)``.
 
@@ -147,6 +151,7 @@ def _launch(
     results: "queue.Queue[tuple[int, RunRecord]]" = queue.Queue()
 
     def worker(i: int, spec: SolverSpec) -> None:
+        _RACE_SPLIT.set(split)  # seen by run_strategy in this thread only
         start = time.monotonic()
         try:
             record = spec.run(formula, timeout, cancels[i])
@@ -188,9 +193,12 @@ def race(
     solvers keep running until one produces a (validated) witness or the
     timeout expires; the witness producer then becomes the winner.  If no
     solver answers, the result is Unknown(timeout) with winner ``"none"``.
+    The internal solvers split the formula once and share per-component
+    sat results; unsat still rests on the tableau's own check.
     """
     cancels = [threading.Event() for _ in solvers]
     pending = set(range(len(solvers)))
+    received: list[RunRecord] = []
     winner: RunRecord | None = None
     hunting_evidence = False
 
@@ -201,9 +209,10 @@ def race(
             cancels[j].set()
 
     try:
-        for i, record in _launch(formula, solvers, timeout, cancels):
+        for i, record in _launch(formula, solvers, timeout, cancels, _Split(formula)):
             pending.discard(i)
             record = _validated(record, formula)
+            received.append(record)
             if not record.verdict.is_definitive:
                 continue
             if winner is None:
@@ -229,9 +238,10 @@ def race(
         for event in cancels:
             event.set()
 
+    records = tuple(received)
     if winner is not None:
-        return PortfolioResult(winner.verdict, winner.solver, winner.elapsed)
-    return PortfolioResult(Verdict.timeout(), "none", timeout)
+        return PortfolioResult(winner.verdict, winner.solver, winner.elapsed, records)
+    return PortfolioResult(Verdict.timeout(), "none", timeout, records)
 
 
 def run_all(
@@ -239,8 +249,9 @@ def run_all(
 ) -> list[RunRecord]:
     """Run every solver to completion or its own timeout; no cancellation.
 
-    Records come back fastest-first.  A solver failure becomes an
-    Unknown(solver-error) record rather than an exception.
+    Unlike a race, the solvers share nothing.  Records come back
+    fastest-first.  A solver failure becomes an Unknown(solver-error)
+    record rather than an exception.
     """
     never = threading.Event()
     reported = dict(_launch(formula, solvers, timeout, [never] * len(solvers)))

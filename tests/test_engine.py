@@ -6,12 +6,14 @@ from polsat.bench import gen_O1, gen_random
 from polsat.engine import (
     Budget,
     Verdict,
+    _components,
+    _tableau_component,
     lasso_search,
     run_strategy,
     sat_shortcut,
     tableau_check,
 )
-from polsat.formulas import FALSE, TRUE, And, Iff, Prop, parse
+from polsat.formulas import FALSE, TRUE, And, Iff, Prop, nnf, parse
 from polsat.lasso import evaluate, print_evidence
 
 from conftest import child_env, fixture_text, random_formula
@@ -347,3 +349,19 @@ class TestEngineAgreement:
     def test_o1_family_unsat_via_tableau(self):
         for n in (1, 5, 20, 100):
             assert tableau_check(gen_O1(n)).is_unsat
+
+    def test_tableau_builder_after_cancel_charges_nothing(self):
+        # In a race, any solver may build a lasso from a component another
+        # solver showed sat, even after that solver has been cancelled.
+        texts = [fixture_text("lift.ltl"), fixture_text("counter.ltl")]
+        for text in texts + ["G F a & G F !a & (b U c)"]:
+            for component in _components(nnf(parse(text))):
+                cancel = threading.Event()
+                budget = Budget(max_nodes=None, cancel=cancel)
+                build = _tableau_component(component, budget)
+                assert build is not None
+                cancel.set()
+                charged = budget.nodes
+                word = build()
+                assert budget.nodes == charged
+                assert evaluate(word, component)

@@ -1,8 +1,12 @@
+import sys
 import time
+from dataclasses import replace
 
 import pytest
 
-from polsat.engine import Verdict
+from polsat import engine
+from polsat.bench import gen_O1
+from polsat.engine import Budget, Verdict, run_strategy
 from polsat.external import ExternalSolverSpec, as_solver_spec
 from polsat.formulas import parse
 from polsat.lasso import LassoWord, evaluate
@@ -15,7 +19,7 @@ from polsat.portfolio import (
     run_all,
 )
 
-from conftest import sh_stub, sleeper_stub
+from conftest import UNDECIDED, sh_stub, sleeper_stub
 
 
 @pytest.fixture
@@ -34,6 +38,20 @@ def crashing_solver(name="crasher"):
     return SolverSpec(name, "external", run)
 
 
+def scripted_solver(name, verdict, delay):
+    def run(formula, timeout, cancel):
+        time.sleep(delay)
+        return RunRecord(name, verdict, delay)
+
+    return SolverSpec(name, "external", run)
+
+
+#: 22 variable-disjoint sat components.
+SPLIT = " & ".join(
+    [f"(a{i} | b{i})" for i in range(1, 21)] + ["G F c", "F G !d"]
+)
+
+
 class TestRace:
     def test_internal_solvers_agree_on_until(self):
         f = parse("a U b")
@@ -45,8 +63,7 @@ class TestRace:
     def test_split_formula_evidence_is_valid(self):
         # 22 variable-disjoint components; every solver alone must merge
         # its per-component lassos into one word the race accepts.
-        parts = [f"(a{i} | b{i})" for i in range(1, 21)] + ["G F c", "F G !d"]
-        f = parse(" & ".join(parts))
+        f = parse(SPLIT)
         for spec in internal_solvers():
             result = race(f, [spec], 10.0, want_evidence=True)
             assert result.winner == spec.name
@@ -122,6 +139,69 @@ class TestRace:
         assert result.verdict.is_sat
         assert result.winner == "tableau"
 
+    def test_shared_components_give_valid_evidence(self, monkeypatch):
+        # The winner's lasso may merge builders of the other solvers, which
+        # settle components in an order that varies from run to run.  Six
+        # solver threads and a short switch interval stress the sharing.
+        splits = []
+        real = engine._components
+        monkeypatch.setattr(engine, "_components", lambda g: splits.append(g) or real(g))
+        solvers = internal_solvers()
+        solvers += [replace(s, name=s.name + "-2") for s in solvers]
+        f = parse(SPLIT)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for k in range(20):
+                result = race(f, solvers, 10.0, want_evidence=True)
+                assert result.verdict.is_sat and result.verdict.evidence is not None
+                assert evaluate(result.verdict.evidence, f)
+                assert len(splits) == k + 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_race_splits_the_formula_once(self, monkeypatch):
+        calls = {"nnf": 0, "_components": 0}
+        for name in calls:
+
+            def counted(g, real=getattr(engine, name), name=name):
+                calls[name] += 1
+                return real(g)
+
+            monkeypatch.setattr(engine, name, counted)
+        result = race(gen_O1(50), internal_solvers(), 30.0)
+        assert result.verdict.is_unsat and result.winner == "tableau"
+        assert calls == {"nnf": 1, "_components": 1}
+
+    def test_sat_components_do_not_decide_an_undecided_one(self):
+        fresh = " & ".join(f"(F x{i} | G y{i})" for i in range(10))
+        f = parse(f"({UNDECIDED}) & {fresh}")
+        t0 = time.monotonic()
+        result = race(f, internal_solvers(), 0.05)
+        assert time.monotonic() - t0 < 1.0
+        assert result.verdict.is_timeout and result.winner == "none"
+        assert result.elapsed == 0.05
+
+    def test_records_in_arrival_order(self):
+        early = scripted_solver("early", Verdict.incomplete("gave up"), 0.0)
+        late = scripted_solver("late", Verdict.unsat(), 0.2)
+        result = race(parse("p & !p"), [late, early], 5.0)
+        assert result.winner == "late"
+        assert result.records == (
+            RunRecord("early", Verdict.incomplete("gave up"), 0.0),
+            RunRecord("late", Verdict.unsat(), 0.2),
+        )
+
+    def test_timed_out_race_keeps_its_records(self):
+        result = race(parse(UNDECIDED), internal_solvers(), 0.05)
+        assert result.winner == "none"
+        reasons = {r.solver: r.verdict.reason for r in result.records}
+        assert reasons == {
+            "tableau": "timeout",
+            "lasso": "timeout",
+            "shortcut": "incomplete",
+        }
+
     def test_winner_verdict_provenance(self, stub_solver):
         # The winner's own record carries the reported verdict.
         unsat_stub = stub_solver("sayno", sh_stub(["unsat"]))
@@ -164,6 +244,20 @@ class TestRunAll:
         assert crashed.verdict.reason == "solver-error"
         assert "boom" in crashed.verdict.detail
         assert crashed.elapsed < 1.0  # measured, not charged the 10 s timeout
+
+    def test_internal_solvers_work_alone(self):
+        # Unlike a race, run_all shares nothing: each solver's record is
+        # the verdict it reaches on its own.
+        f = gen_O1(50)
+        records = {r.solver: r.verdict for r in run_all(f, internal_solvers(), 30.0)}
+        for name, kind, reason in (
+            ("tableau", "unsat", None),
+            ("lasso", "unknown", "incomplete"),
+            ("shortcut", "unknown", "incomplete"),
+        ):
+            solo = run_strategy(name, f, Budget(max_nodes=None))
+            assert (solo.kind, solo.reason) == (kind, reason)
+            assert (records[name].kind, records[name].reason) == (kind, reason)
 
     def test_disagreement_left_to_arbitrate(self, stub_solver):
         wrong = stub_solver("sayno", sh_stub(["unsat"]))
