@@ -6,7 +6,6 @@ from .formulas import (
     FALSE,
     TRUE,
     And,
-    Dialect,
     FalseConst,
     Finally,
     Formula,
@@ -29,7 +28,7 @@ from .formulas import (
     render,
 )
 from .lasso import EvidenceError, LassoWord, evaluate, parse_evidence, print_evidence
-from .engine import Budget, Verdict, lasso_search, sat_shortcut, tableau_check
+from .engine import Budget, Verdict, tableau_check
 from .portfolio import (
     ConsistencyReport,
     PortfolioResult,

@@ -210,9 +210,11 @@ def run_file(
     """Check every formula in ``path`` and write the report to ``out_path``.
 
     ``mode="separate"`` runs every solver on every formula (run_all);
-    ``mode="race"`` races the portfolio instead, attributing each formula's
-    time to the winner and charging the full timeout to every solver when
-    nobody answers.  Unparsable lines are reported per-line, not fatal.
+    ``mode="race"`` races the portfolio instead and keeps the records the
+    race received (a solver cancelled before it reported has none).  Both
+    modes append each record to its solver's list and charge the solver
+    ``min(elapsed, timeout)``, so a timed-out run costs exactly the
+    timeout.  Unparsable lines are reported per-line, not fatal.
     Formulas are processed sequentially so timings do not contend.
     """
     if mode not in ("separate", "race"):
@@ -241,33 +243,23 @@ def run_file(
             continue
         if mode == "separate":
             records = run_all(formula, solvers, timeout)
-            for record in records:
-                per_solver[record.solver].append(record)
-                totals[record.solver] += min(record.elapsed, timeout)
             best = next((r for r in records if r.verdict.is_definitive), None)
             if best is None:
-                report.outcomes.append(
-                    FormulaOutcome(index, "unknown", "none", timeout)
-                )
+                outcome = FormulaOutcome(index, "unknown", "none", timeout)
             else:
-                report.outcomes.append(
-                    FormulaOutcome(index, best.verdict.kind, best.solver, best.elapsed)
+                outcome = FormulaOutcome(
+                    index, best.verdict.kind, best.solver, best.elapsed
                 )
         else:
             result = race(formula, solvers, timeout)
-            report.outcomes.append(
-                FormulaOutcome(
-                    index, result.verdict.kind, result.winner, result.elapsed
-                )
+            records = result.records
+            outcome = FormulaOutcome(
+                index, result.verdict.kind, result.winner, result.elapsed
             )
-            if result.verdict.is_definitive:
-                record = RunRecord(result.winner, result.verdict, result.elapsed)
-                per_solver[result.winner].append(record)
-                totals[result.winner] += min(result.elapsed, timeout)
-            else:
-                # Everybody ran to the timeout; charge each solver in full.
-                for name in report.solver_names:
-                    totals[name] += timeout
+        report.outcomes.append(outcome)
+        for record in records:
+            per_solver[record.solver].append(record)
+            totals[record.solver] += min(record.elapsed, timeout)
     report.records = per_solver
     report.totals = totals
     _write_report(report)

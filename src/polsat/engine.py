@@ -1,25 +1,25 @@
 """Internal reference decision procedures.
 
 Three in-process solvers back the portfolio so it works without any
-third-party binaries:
+third-party binaries.  Each is reached by name through :func:`run_strategy`:
 
-* :func:`tableau_check` -- a complete, sound (within budget) graph tableau.
-  Nodes are locally consistent, fully expanded formula sets; an accepting
-  lasso is a reachable cycle fulfilling every Until-eventuality on it, found
-  on the fly by Couvreur's emptiness check while the graph is still being
-  built, and is returned directly as evidence.
-* :func:`lasso_search` -- iterative-deepening search over the same expansion
-  graph for an accepting lasso of bounded total length; sat-only.
-* :func:`sat_shortcut` -- a cheap syntactic filter that proposes one-state
-  loops from "obligation" literal sets and keeps a proposal only if the
-  trace evaluator confirms it; sat-only, never authoritative on its own.
+* ``tableau`` -- a complete, sound (within budget) graph tableau.  Nodes are
+  locally consistent, fully expanded formula sets; an accepting lasso is a
+  reachable cycle fulfilling every Until-eventuality on it, found on the fly
+  by Couvreur's emptiness check while the graph is still being built, and is
+  returned directly as evidence.  :func:`tableau_check` runs it alone.
+* ``lasso`` -- iterative deepening over the same expansion graph, one
+  level at a time, until an accepting lasso fits the depth or the whole
+  graph does; sat-only.
+* ``shortcut`` -- a cheap syntactic filter that proposes one-state loops
+  from "obligation" literal sets and keeps a proposal only if the trace
+  evaluator confirms it; sat-only, never authoritative on its own.
 
-Through :func:`run_strategy` each checks the variable-disjoint components
-(groups of top-level conjuncts) one at a time, stops at the first component
-it cannot show sat (Unsat for the tableau, Unknown(incomplete) for the
-sat-only two), and builds evidence only once every component is sat.  The
-solvers of one race share the split and skip the components another of them
-has shown sat.
+Each checks the variable-disjoint components (groups of top-level
+conjuncts) one at a time, stops at the first component it cannot show sat
+(Unsat for the tableau, Unknown(incomplete) for the sat-only two), and
+builds evidence only once every component is sat.  The solvers of one race
+share the split and skip the components another of them has shown sat.
 
 Expansion rules: ``a U b`` expands to ``b | (a & X(a U b))``, ``a R b`` to
 ``b & (a | X(a R b))``; And/Or saturate; the successor obligation set is the
@@ -28,11 +28,11 @@ set of operands of X-formulas in a node.
 
 from __future__ import annotations
 
-import sys
 import threading
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import count
 from math import lcm
 from typing import Callable, Iterator
 
@@ -57,8 +57,6 @@ __all__ = [
     "Budget",
     "Verdict",
     "tableau_check",
-    "lasso_search",
-    "sat_shortcut",
     "run_strategy",
 ]
 
@@ -66,7 +64,7 @@ __all__ = [
 #: recombined; beyond this the Sat verdict is returned without evidence.
 _MERGE_CAP = 100_000
 
-#: Obligation families larger than this make sat_shortcut give up.
+#: Obligation families larger than this make shortcut give up.
 _FAMILY_CAP = 4096
 
 #: Expansion steps counted between two budget charges.
@@ -184,7 +182,7 @@ _KIND_OF = {
 
 
 class _Tableau:
-    """Shared expansion machinery for tableau_check and lasso_search.
+    """Shared expansion machinery for the tableau and lasso solvers.
 
     Formulas are encoded as dense integer ranks (closure order) and formula
     sets (nodes, obligations) as int bitmasks over those ranks, so the hot
@@ -627,42 +625,22 @@ def _path_within(
 
 
 # ---------------------------------------------------------------------------
-# Bounded sat-only search
-
-
-def lasso_search(
-    f: Formula, max_depth: int, budget: Budget | None = None
-) -> LassoWord | None:
-    """Iterative-deepening search of the whole formula (not split into
-    components) for an accepting lasso of total length (prefix plus loop)
-    at most ``max_depth``; never concludes unsat.
-
-    Budget exhaustion simply yields ``None``.
-    """
-    if budget is None:
-        budget = Budget()
-    try:
-        return _lasso_search(nnf(f), max_depth, budget)
-    except _Stop:
-        return None
+# Iterative-deepening sat-only search
 
 
 def _lasso_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] | None:
-    word = _lasso_search(g, sys.maxsize, budget)
-    return None if word is None else lambda: word
-
-
-def _lasso_search(g: Formula, max_depth: int, budget: Budget) -> LassoWord | None:
-    """Deepen one level at a time on one graph of the NNF formula ``g``;
-    stops early, with None, once a depth is not reached because the whole
-    graph fits within it."""
+    """Iterative deepening on one graph of the NNF component ``g``: the first
+    accepting lasso whose total length (prefix plus loop) fits the depth, or
+    None once a depth is not reached because the whole graph fits within
+    it.  Never concludes unsat."""
     tab = _Tableau(g, budget)
     init_ids = tab.initial_ids()
-    for depth in range(1, max_depth + 1):
+    for depth in count(1):
         word, limited = _bounded_dfs(tab, init_ids, depth)
-        if word is not None or not limited:
-            return word
-    return None
+        if word is not None:
+            return lambda: word
+        if not limited:
+            return None
 
 
 def _bounded_dfs(
@@ -711,7 +689,7 @@ def _bounded_dfs(
 Literal = tuple[str, bool]
 
 
-def sat_shortcut(f: Formula, budget: Budget | None = None) -> LassoWord | None:
+def _shortcut_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] | None:
     """Propose one-state loops from syntactic obligation sets.
 
     Obligations: a literal obliges itself; X/U/R defer to the operand or
@@ -722,10 +700,6 @@ def sat_shortcut(f: Formula, budget: Budget | None = None) -> LassoWord | None:
     confirmation; this is a filter, not a solver.  Each variable-disjoint
     component gets its own family, so families add, not multiply.
     """
-    return run_strategy("shortcut", f, Budget() if budget is None else budget).evidence
-
-
-def _shortcut_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] | None:
     for literals in _obligation_family(g, {}) or ():
         budget.charge()
         by_name: dict[str, bool] = {}

@@ -2,8 +2,9 @@
 
 The syntax accepts every alternative operator spelling (``!``/``~``,
 ``&``/``&&``, ``|``/``||``, ``R``/``V``, ``G``/``[]``, ``F``/``<>``,
-``true``/``TRUE``, ``false``/``FALSE``); a :class:`Dialect` picks one
-spelling per operator when rendering.  Formulas are immutable, hashable
+``true``/``TRUE``, ``false``/``FALSE``); :func:`render` prints one of two
+fixed dialects, :data:`DEFAULT_DIALECT` (the first spelling of each) or
+:data:`ALTERNATE_DIALECT` (the second).  Formulas are immutable, hashable
 values, so they can be shared freely between solver threads.
 """
 
@@ -35,7 +36,6 @@ __all__ = [
     "Release",
     "TRUE",
     "FALSE",
-    "Dialect",
     "DEFAULT_DIALECT",
     "ALTERNATE_DIALECT",
     "ParseError",
@@ -233,48 +233,26 @@ FALSE = FalseConst()
 # Dialects
 
 
-_SPELLINGS = {
-    "negation": ("!", "~"),
-    "conjunction": ("&", "&&"),
-    "disjunction": ("|", "||"),
-    "release": ("R", "V"),
-    "globally": ("G", "[]"),
-    "eventually": ("F", "<>"),
-    "true": ("true", "TRUE"),
-    "false": ("false", "FALSE"),
-}
-
-
 @dataclass(frozen=True)
-class Dialect:
-    """One chosen surface spelling per operator.
+class _Spellings:
+    """One surface spelling per operator, as :func:`render` emits it.
 
-    ``X``, ``U``, ``->`` and ``<->`` have a single spelling and are not
-    configurable.  The parser always accepts every spelling; a dialect only
-    controls what :func:`render` emits.
+    ``X``, ``U``, ``->`` and ``<->`` have a single spelling.  The parser
+    always accepts every spelling.
     """
 
-    negation: str = "!"
-    conjunction: str = "&"
-    disjunction: str = "|"
-    release: str = "R"
-    globally: str = "G"
-    eventually: str = "F"
-    true: str = "true"
-    false: str = "false"
-
-    def __post_init__(self) -> None:
-        for field_name, allowed in _SPELLINGS.items():
-            value = getattr(self, field_name)
-            if value not in allowed:
-                raise ValueError(
-                    f"invalid spelling {value!r} for {field_name}; "
-                    f"one of {allowed} expected"
-                )
+    negation: str
+    conjunction: str
+    disjunction: str
+    release: str
+    globally: str
+    eventually: str
+    true: str
+    false: str
 
 
-DEFAULT_DIALECT = Dialect()
-ALTERNATE_DIALECT = Dialect("~", "&&", "||", "V", "[]", "<>", "TRUE", "FALSE")
+DEFAULT_DIALECT = _Spellings("!", "&", "|", "R", "G", "F", "true", "false")
+ALTERNATE_DIALECT = _Spellings("~", "&&", "||", "V", "[]", "<>", "TRUE", "FALSE")
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +468,10 @@ def parse(text: str) -> Formula:
 # Printer
 
 
-def render(f: Formula, dialect: Dialect = DEFAULT_DIALECT) -> str:
+def render(f: Formula, dialect: _Spellings = DEFAULT_DIALECT) -> str:
     """Render ``f`` fully parenthesized using only ``dialect`` spellings.
 
-    ``parse(render(f, d))`` is structurally equal to ``f`` for any dialect.
+    ``parse(render(f, d))`` is structurally equal to ``f`` for both dialects.
     """
     t = type(f)
     if t is TrueConst:

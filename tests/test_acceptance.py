@@ -15,10 +15,9 @@ import time
 
 import pytest
 
-import polsat
 from polsat.bench import cactus, gen_conjunction, gen_O1, run_file
 from polsat.cli import main as cli_main
-from polsat.engine import Budget, lasso_search, sat_shortcut, tableau_check
+from polsat.engine import Budget, run_strategy, tableau_check
 from polsat.external import ENV_REGISTRY, ExternalSolverSpec, as_solver_spec
 from polsat.formulas import (
     ALTERNATE_DIALECT,
@@ -141,13 +140,11 @@ def test_criterion_2_evidence_validity():
         sat_seen = 0
         for _ in range(500):
             f = random_formula(rng, rng.randint(1, 25), ("a", "b", "c"))
-            verdicts = [tableau_check(f, Budget(max_nodes=300_000))]
-            word = lasso_search(f, 8, Budget(max_nodes=300_000))
-            if word is not None:
-                verdicts.append(polsat.Verdict.sat(word))
-            word = sat_shortcut(f)
-            if word is not None:
-                verdicts.append(polsat.Verdict.sat(word))
+            verdicts = [
+                tableau_check(f, Budget(max_nodes=300_000)),
+                run_strategy("lasso", f, Budget(max_nodes=300_000)),
+                run_strategy("shortcut", f, Budget()),
+            ]
             for verdict in verdicts:
                 if verdict.is_sat:
                     sat_seen += 1

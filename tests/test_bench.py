@@ -15,10 +15,11 @@ from polsat.bench import (
 from polsat.engine import tableau_check
 from polsat.external import ExternalSolverSpec, as_solver_spec
 from polsat.formulas import And, Globally, Next, Not, Or, Prop, node_count, parse, render
+from polsat.lasso import evaluate
 from polsat.patterns import PATTERNS
 from polsat.portfolio import internal_solvers
 
-from conftest import sleeper_stub
+from conftest import UNDECIDED, sleeper_stub
 
 LINE_RE = re.compile(r"^\d+\t(sat|unsat|unknown|error)\t\S+\t\d+(\.\d+)?$")
 
@@ -138,6 +139,33 @@ class TestRunFile:
         out = tmp_path / "output.txt"
         report = run_file(src, [slow, slow2], timeout=0.2, mode="race", out_path=out)
         assert report.totals == {"slowpoke": 0.2, "slowpoke2": 0.2}
+
+    def test_race_mode_charges_each_record(self, tmp_path):
+        # shortcut gives up at once; tableau and lasso run to the timeout.
+        src = tmp_path / "one.txt"
+        src.write_text(UNDECIDED + "\n")
+        out = tmp_path / "output.txt"
+        report = run_file(src, internal_solvers(), timeout=0.5, mode="race", out_path=out)
+        assert [o.verdict for o in report.outcomes] == ["unknown"]
+        assert report.totals["tableau"] == report.totals["lasso"] == 0.5
+        assert report.totals["shortcut"] < 0.1
+        for name in ("tableau", "lasso", "shortcut"):
+            (record,) = report.records[name]
+            assert record.solver == name
+            assert report.totals[name] == record.elapsed
+        assert report.records["shortcut"][0].verdict.reason == "incomplete"
+
+    def test_race_mode_keeps_the_winning_record(self, tmp_path):
+        src = tmp_path / "one.txt"
+        src.write_text("G a & F b\n")
+        out = tmp_path / "output.txt"
+        report = run_file(src, internal_solvers(), timeout=5.0, mode="race", out_path=out)
+        (outcome,) = report.outcomes
+        assert outcome.verdict == "sat"
+        winning = report.records[outcome.winner][0]
+        assert winning.verdict.is_sat and winning.elapsed == outcome.seconds
+        assert evaluate(winning.verdict.evidence, parse("G a & F b"))
+        assert report.totals[outcome.winner] == winning.elapsed
 
     def test_determinism_of_verdicts(self, tmp_path):
         src = tmp_path / "formulas.txt"

@@ -2,15 +2,13 @@ import random
 import threading
 import time
 
+from polsat import engine
 from polsat.bench import gen_O1, gen_random
 from polsat.engine import (
     Budget,
-    Verdict,
     _components,
     _tableau_component,
-    lasso_search,
     run_strategy,
-    sat_shortcut,
     tableau_check,
 )
 from polsat.formulas import FALSE, TRUE, And, Iff, Prop, nnf, parse
@@ -227,25 +225,36 @@ class TestVectorOracle:
                 assert evaluate(w, f)
 
 
+def lasso(f):
+    """The ``lasso`` solver's evidence for ``f``, or None when it gives up."""
+    return run_strategy("lasso", f, Budget()).evidence
+
+
+def shortcut(f):
+    """The ``shortcut`` solver's evidence for ``f``, or None when it gives up."""
+    return run_strategy("shortcut", f, Budget()).evidence
+
+
 class TestLassoSearch:
     def test_finds_shallow_witness(self):
         f = parse("a U b")
-        w = lasso_search(f, 2)
+        w = lasso(f)
         assert w is not None and evaluate(w, f)
 
     def test_never_claims_unsat_formula(self):
-        assert lasso_search(parse("(G c) & (X ! c)"), 12) is None
+        verdict = run_strategy("lasso", parse("(G c) & (X ! c)"), Budget())
+        assert verdict.kind == "unknown" and verdict.reason == "incomplete"
 
     def test_true_at_depth_one(self):
         f = TRUE
-        w = lasso_search(f, 1)
+        w = lasso(f)
         assert w is not None and evaluate(w, f)
 
     def test_subset_of_tableau_sat(self):
         rng = random.Random(88)
         for _ in range(150):
             f = random_formula(rng, rng.randint(1, 15), ("p", "q"))
-            w = lasso_search(f, 8)
+            w = lasso(f)
             if w is not None:
                 assert evaluate(w, f)
                 assert tableau_check(f).is_sat
@@ -254,25 +263,25 @@ class TestLassoSearch:
 class TestSatShortcut:
     def test_globally_and_eventually(self):
         f = parse("G a & F b")
-        w = sat_shortcut(f)
+        w = shortcut(f)
         assert w is not None
         assert w.loop == (frozenset({"a", "b"}),)
         assert evaluate(w, f)
 
     def test_contradictory_literals_give_nothing(self):
-        assert sat_shortcut(parse("p & !p")) is None
+        assert shortcut(parse("p & !p")) is None
 
     def test_o1_candidates_rejected_by_evaluation(self):
-        assert sat_shortcut(gen_O1(1)) is None
-        assert sat_shortcut(gen_O1(3)) is None
+        assert shortcut(gen_O1(1)) is None
+        assert shortcut(gen_O1(3)) is None
 
     def test_family_cap_gives_up(self):
-        assert sat_shortcut(gen_O1(100)) is None
+        assert shortcut(gen_O1(100)) is None
         # One component (every conjunct mentions p) whose product family
         # outgrows the cap, though {p} alone would be a model.
         f = parse(" & ".join(f"(p | a{i})" for i in range(1, 14)))
         assert tableau_check(f).is_sat
-        assert sat_shortcut(f) is None
+        assert shortcut(f) is None
 
     def test_split_families_add_up(self):
         # Twenty variable-disjoint choices: a product family of 2^20 sets,
@@ -285,7 +294,7 @@ class TestSatShortcut:
         rng = random.Random(99)
         for _ in range(300):
             f = random_formula(rng, rng.randint(1, 20), ("p", "q", "r"))
-            w = sat_shortcut(f)
+            w = shortcut(f)
             if w is not None:
                 assert evaluate(w, f)
 
@@ -296,14 +305,11 @@ class TestEngineAgreement:
         budget_nodes = 200_000
         for _ in range(500):
             f = random_formula(rng, rng.randint(1, 25), ("p", "q", "r"))
-            verdicts = {}
-            verdicts["tableau"] = tableau_check(f, Budget(max_nodes=budget_nodes))
-            w = lasso_search(f, 10, Budget(max_nodes=budget_nodes))
-            if w is not None:
-                verdicts["lasso"] = Verdict.sat(w)
-            w = sat_shortcut(f)
-            if w is not None:
-                verdicts["shortcut"] = Verdict.sat(w)
+            verdicts = {
+                "tableau": tableau_check(f, Budget(max_nodes=budget_nodes)),
+                "lasso": run_strategy("lasso", f, Budget(max_nodes=budget_nodes)),
+                "shortcut": run_strategy("shortcut", f, Budget()),
+            }
             definitive = {k: v for k, v in verdicts.items() if v.is_definitive}
             kinds = {v.kind for v in definitive.values()}
             assert len(kinds) <= 1, (f, definitive)
@@ -325,16 +331,21 @@ class TestEngineAgreement:
         out_of_nodes = run_strategy("shortcut", f, Budget(max_nodes=2))
         assert out_of_nodes.kind == "unknown" and out_of_nodes.reason == "timeout"
 
-    def test_lasso_strategy_deepens_one_graph(self):
-        # The race's lasso strategy finds the same word as one deepening
-        # search, without rebuilding the graph or repeating depths.
+    def test_lasso_strategy_deepens_one_graph(self, monkeypatch):
+        # Deepening reuses one graph per component instead of rebuilding it
+        # at every depth.
+        built = []
+
+        class Counting(engine._Tableau):
+            def __init__(self, root, budget):
+                built.append(root)
+                super().__init__(root, budget)
+
+        monkeypatch.setattr(engine, "_Tableau", Counting)
         f = parse(fixture_text("counter.ltl"))
-        solo, raced = Budget(), Budget()
-        word = lasso_search(f, 64, solo)
-        verdict = run_strategy("lasso", f, raced)
-        assert verdict.is_sat
-        assert print_evidence(verdict.evidence) == print_evidence(word)
-        assert raced.nodes <= solo.nodes
+        verdict = run_strategy("lasso", f, Budget())
+        assert verdict.is_sat and evaluate(verdict.evidence, f)
+        assert built == _components(nnf(f))
 
     def test_sat_only_solvers_give_up_at_the_unsat_component(self):
         # gen_O1's last component, G c & X !c, has no lasso; the sat-only

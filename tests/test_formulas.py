@@ -8,7 +8,6 @@ from polsat.formulas import (
     FALSE,
     TRUE,
     And,
-    Dialect,
     Finally,
     Globally,
     Iff,
@@ -137,17 +136,12 @@ class TestRender:
         assert render(Until(Prop("a"), Prop("b"))) == "(a U b)"
 
     def test_alternate_globally_spelling(self):
-        d = Dialect(globally="[]")
-        assert render(Globally(Prop("p")), d) == "([] p)"
+        assert render(Globally(Prop("p")), ALTERNATE_DIALECT) == "([] p)"
 
     def test_atoms_render_bare(self):
         assert render(Prop("a")) == "a"
         assert render(TRUE) == "true"
         assert render(TRUE, ALTERNATE_DIALECT) == "TRUE"
-
-    def test_invalid_dialect_spelling_rejected(self):
-        with pytest.raises(ValueError):
-            Dialect(negation="-")
 
     @pytest.mark.parametrize("dialect", [DEFAULT_DIALECT, ALTERNATE_DIALECT])
     def test_roundtrip_identity(self, dialect):
@@ -155,22 +149,6 @@ class TestRender:
         for _ in range(1000):
             f = random_formula(rng, rng.randint(1, 40), PROPS)
             assert parse(render(f, dialect)) == f
-
-    def test_roundtrip_identity_mixed_dialects(self):
-        rng = random.Random(99)
-        for _ in range(200):
-            d = Dialect(
-                negation=rng.choice(("!", "~")),
-                conjunction=rng.choice(("&", "&&")),
-                disjunction=rng.choice(("|", "||")),
-                release=rng.choice(("R", "V")),
-                globally=rng.choice(("G", "[]")),
-                eventually=rng.choice(("F", "<>")),
-                true=rng.choice(("true", "TRUE")),
-                false=rng.choice(("false", "FALSE")),
-            )
-            f = random_formula(rng, rng.randint(1, 30), PROPS)
-            assert parse(render(f, d)) == f
 
 
 class TestNnf:
