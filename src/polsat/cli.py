@@ -18,6 +18,7 @@ or parse error, 2 when every solver timed out.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -39,6 +40,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _timeout(text: str) -> float:
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not 0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError(f"not a positive finite number of seconds: {text!r}")
+    return seconds
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_timeout,
         default=DEFAULT_TIMEOUT,
         metavar="SECONDS",
         help="per-formula timeout (default 60)",

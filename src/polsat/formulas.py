@@ -1,18 +1,23 @@
 """LTL formula trees, the concrete-syntax parser/printer, and normal forms.
 
-The syntax accepts every alternative operator spelling (``!``/``~``,
-``&``/``&&``, ``|``/``||``, ``R``/``V``, ``G``/``[]``, ``F``/``<>``,
-``true``/``TRUE``, ``false``/``FALSE``); :func:`render` prints one of two
-fixed dialects, :data:`DEFAULT_DIALECT` (the first spelling of each) or
-:data:`ALTERNATE_DIALECT` (the second).  Formulas are immutable, hashable
-values, so they can be shared freely between solver threads.
+Operator spellings are written once, in two read-only tables from node
+type to spelling: :data:`DEFAULT_DIALECT` and :data:`ALTERNATE_DIALECT`,
+which differ in ``!``/``~``, ``&``/``&&``, ``|``/``||``, ``R``/``V``,
+``G``/``[]``, ``F``/``<>``, ``true``/``TRUE`` and ``false``/``FALSE``.  The
+lexer's symbols and :data:`RESERVED_WORDS` are derived from them, so
+:func:`parse` accepts the spellings of both; :func:`render` prints one.
+The parser reads precedence from one table, and :func:`nnf` negates
+through one duality table.  Formulas are immutable, hashable values, so
+they can be shared freely between solver threads.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NoReturn
 
 # Deep formula trees (fully parenthesized renderings of length-200 random
 # formulas) exceed CPython's default recursion limit during parsing.
@@ -48,11 +53,6 @@ __all__ = [
 ]
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-#: Words the lexer claims for itself; they can never name a proposition.
-RESERVED_WORDS = frozenset(
-    {"true", "TRUE", "false", "FALSE", "X", "U", "R", "V", "G", "F"}
-)
 
 
 class Formula:
@@ -230,29 +230,48 @@ FALSE = FalseConst()
 
 
 # ---------------------------------------------------------------------------
-# Dialects
+# Dialects: one spelling per node type, as :func:`render` emits it.
 
+DEFAULT_DIALECT = MappingProxyType(
+    {
+        TrueConst: "true",
+        FalseConst: "false",
+        Not: "!",
+        Next: "X",
+        Globally: "G",
+        Finally: "F",
+        And: "&",
+        Or: "|",
+        Implies: "->",
+        Iff: "<->",
+        Until: "U",
+        Release: "R",
+    }
+)
+ALTERNATE_DIALECT = MappingProxyType(
+    {
+        **DEFAULT_DIALECT,
+        TrueConst: "TRUE",
+        FalseConst: "FALSE",
+        Not: "~",
+        Globally: "[]",
+        Finally: "<>",
+        And: "&&",
+        Or: "||",
+        Release: "V",
+    }
+)
 
-@dataclass(frozen=True)
-class _Spellings:
-    """One surface spelling per operator, as :func:`render` emits it.
+# Token kinds: the node type a spelling stands for, Prop for any other
+# identifier, and the parentheses and end of input as themselves.
+_KINDS = {
+    spelling: t
+    for dialect in (DEFAULT_DIALECT, ALTERNATE_DIALECT)
+    for t, spelling in dialect.items()
+} | {"(": "(", ")": ")"}
 
-    ``X``, ``U``, ``->`` and ``<->`` have a single spelling.  The parser
-    always accepts every spelling.
-    """
-
-    negation: str
-    conjunction: str
-    disjunction: str
-    release: str
-    globally: str
-    eventually: str
-    true: str
-    false: str
-
-
-DEFAULT_DIALECT = _Spellings("!", "&", "|", "R", "G", "F", "true", "false")
-ALTERNATE_DIALECT = _Spellings("~", "&&", "||", "V", "[]", "<>", "TRUE", "FALSE")
+#: Words the lexer claims for itself; they can never name a proposition.
+RESERVED_WORDS = frozenset(s for s in _KINDS if IDENTIFIER_RE.fullmatch(s))
 
 
 # ---------------------------------------------------------------------------
@@ -267,192 +286,105 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int  # 1-based character offset
-
-
-# Longest match first resolves "<->" vs "<>" and "&&" vs "&".
-_SYMBOL_TOKENS = (
-    ("<->", "iff"),
-    ("->", "implies"),
-    ("<>", "finally"),
-    ("&&", "and"),
-    ("||", "or"),
-    ("[]", "globally"),
-    ("!", "not"),
-    ("~", "not"),
-    ("&", "and"),
-    ("|", "or"),
-    ("(", "lparen"),
-    (")", "rparen"),
+# Whitespace (the ASCII characters str.isspace accepts), then one token: a
+# symbol or an identifier.  Symbols go longest first, so "&&" beats "&",
+# then by text, so the pattern does not depend on the hash seed.  Any other
+# character lands in the second group.
+_SPACE = r"\t-\r\x1c-\x1f "
+_SYMBOLS = sorted(set(_KINDS) - RESERVED_WORDS, key=lambda s: (-len(s), s))
+_TOKEN_RE = re.compile(
+    rf"[{_SPACE}]*(?:({'|'.join(map(re.escape, _SYMBOLS))}|{IDENTIFIER_RE.pattern})"
+    rf"|([^{_SPACE}]))"
 )
 
-_WORD_TOKENS = {
-    "true": "true",
-    "TRUE": "true",
-    "false": "false",
-    "FALSE": "false",
-    "X": "next",
-    "U": "until",
-    "R": "release",
-    "V": "release",
-    "G": "globally",
-    "F": "finally",
-}
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ord(ch) > 127:
-            raise ParseError(f"non-ASCII character {ch!r}", i + 1)
-        if ch.isspace():
-            i += 1
-            continue
-        matched = False
-        for sym, kind in _SYMBOL_TOKENS:
-            if text.startswith(sym, i):
-                tokens.append(_Token(kind, sym, i + 1))
-                i += len(sym)
-                matched = True
-                break
-        if matched:
-            continue
-        m = IDENTIFIER_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = _WORD_TOKENS.get(word, "ident")
-            tokens.append(_Token(kind, word, i + 1))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i + 1)
-    tokens.append(_Token("end", "", n + 1))
+def _tokenize(text: str) -> list[tuple]:
+    """``(kind, text, 1-based position)`` per token, then an ``"end"`` token."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        word = m.group(1)
+        if word is None:
+            ch = m.group(2)
+            problem = "non-ASCII" if ord(ch) > 127 else "unexpected"
+            raise ParseError(f"{problem} character {ch!r}", m.start(2) + 1)
+        tokens.append((_KINDS.get(word, Prop), word, m.start(1) + 1))
+    tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Parser
-#
-# Precedence, tightest first:
-#   unary (!, ~, X, G, [], F, <>)
-#   U, R/V      (right-associative, equal precedence)
-#   & / &&      (left-associative)
-#   | / ||      (left-associative)
-#   ->          (right-associative)
-#   <->         (right-associative)
+
+# Binary operators, loosest first, as (node types, right-associative?).
+# The unary operators bind tighter than all of them.
+_LEVELS = (
+    ((Iff,), True),
+    ((Implies,), True),
+    ((Or,), False),
+    ((And,), False),
+    ((Until, Release), True),
+)
+_LEVEL_OF = {op: level for level, (ops, _) in enumerate(_LEVELS) for op in ops}
+_UNARY = (Not, Next, Globally, Finally)
+
+
+def _fail(expected: str, tok: tuple) -> NoReturn:
+    kind, text, pos = tok
+    found = f"{text!r}" if kind != "end" else "end of input"
+    raise ParseError(f"expected {expected}, found {found}", pos)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
+    def __init__(self, tokens: list[tuple]) -> None:
         self._tokens = tokens
         self._i = 0
 
-    @property
-    def _tok(self) -> _Token:
-        return self._tokens[self._i]
-
-    def _advance(self) -> _Token:
-        tok = self._tokens[self._i]
-        self._i += 1
-        return tok
-
-    def _fail(self, expected: str) -> None:
-        tok = self._tok
-        found = f"{tok.text!r}" if tok.kind != "end" else "end of input"
-        raise ParseError(f"expected {expected}, found {found}", tok.pos)
-
     def parse(self) -> Formula:
-        f = self._iff()
-        if self._tok.kind != "end":
-            self._fail("end of input or a binary operator")
+        f = self._binary(0)
+        if self._tokens[self._i][0] != "end":
+            _fail("end of input or a binary operator", self._tokens[self._i])
         return f
 
-    def _iff(self) -> Formula:
-        left = self._implies()
-        if self._tok.kind == "iff":
-            self._advance()
-            return Iff(left, self._iff())
-        return left
-
-    def _implies(self) -> Formula:
-        left = self._or()
-        if self._tok.kind == "implies":
-            self._advance()
-            return Implies(left, self._implies())
-        return left
-
-    def _or(self) -> Formula:
-        left = self._and()
-        while self._tok.kind == "or":
-            self._advance()
-            left = Or(left, self._and())
-        return left
-
-    def _and(self) -> Formula:
-        left = self._until()
-        while self._tok.kind == "and":
-            self._advance()
-            left = And(left, self._until())
-        return left
-
-    def _until(self) -> Formula:
+    def _binary(self, level: int) -> Formula:
+        """A formula whose binary operators are at ``_LEVELS[level]`` or tighter."""
         left = self._unary()
-        kind = self._tok.kind
-        if kind == "until":
-            self._advance()
-            return Until(left, self._until())
-        if kind == "release":
-            self._advance()
-            return Release(left, self._until())
-        return left
+        while True:
+            op = self._tokens[self._i][0]
+            op_level = _LEVEL_OF.get(op, -1)
+            if op_level < level:
+                return left
+            self._i += 1
+            right_assoc = _LEVELS[op_level][1]
+            left = op(left, self._binary(op_level if right_assoc else op_level + 1))
 
     def _unary(self) -> Formula:
-        kind = self._tok.kind
-        if kind == "not":
-            self._advance()
-            return Not(self._unary())
-        if kind == "next":
-            self._advance()
-            return Next(self._unary())
-        if kind == "globally":
-            self._advance()
-            return Globally(self._unary())
-        if kind == "finally":
-            self._advance()
-            return Finally(self._unary())
+        kind = self._tokens[self._i][0]
+        if kind in _UNARY:
+            self._i += 1
+            return kind(self._unary())
         return self._primary()
 
     def _primary(self) -> Formula:
-        tok = self._tok
-        if tok.kind == "lparen":
-            self._advance()
-            f = self._iff()
-            if self._tok.kind != "rparen":
-                self._fail("')'")
-            self._advance()
+        tok = self._tokens[self._i]
+        self._i += 1
+        kind, text, pos = tok
+        if kind is Prop:
+            return Prop(text)
+        if kind == "(":
+            f = self._binary(0)
+            if self._tokens[self._i][0] != ")":
+                _fail("')'", self._tokens[self._i])
+            self._i += 1
             return f
-        if tok.kind == "true":
-            self._advance()
+        if kind is TrueConst:
             return TRUE
-        if tok.kind == "false":
-            self._advance()
+        if kind is FalseConst:
             return FALSE
-        if tok.kind == "ident":
-            self._advance()
-            return Prop(tok.text)
-        if tok.text in RESERVED_WORDS:
+        if text in RESERVED_WORDS:
             raise ParseError(
-                f"reserved word {tok.text!r} cannot be used as a proposition",
-                tok.pos,
+                f"reserved word {text!r} cannot be used as a proposition", pos
             )
-        self._fail("a formula (proposition, constant, unary operator, or '(')")
-        raise AssertionError("unreachable")
+        _fail("a formula (proposition, constant, unary operator, or '(')", tok)
 
 
 def parse(text: str) -> Formula:
@@ -468,45 +400,29 @@ def parse(text: str) -> Formula:
 # Printer
 
 
-def render(f: Formula, dialect: _Spellings = DEFAULT_DIALECT) -> str:
+def render(f: Formula, dialect: Mapping[type, str] = DEFAULT_DIALECT) -> str:
     """Render ``f`` fully parenthesized using only ``dialect`` spellings.
 
-    ``parse(render(f, d))`` is structurally equal to ``f`` for both dialects.
+    A dialect is a read-only mapping from node type to spelling:
+    :data:`DEFAULT_DIALECT` or :data:`ALTERNATE_DIALECT`.
+    ``parse(render(f, d))`` is structurally equal to ``f`` for both.
     """
     t = type(f)
-    if t is TrueConst:
-        return dialect.true
-    if t is FalseConst:
-        return dialect.false
     if t is Prop:
         return f.name
-    if t is Not:
-        return f"({dialect.negation} {render(f.operand, dialect)})"
-    if t is Next:
-        return f"(X {render(f.operand, dialect)})"
-    if t is Globally:
-        return f"({dialect.globally} {render(f.operand, dialect)})"
-    if t is Finally:
-        return f"({dialect.eventually} {render(f.operand, dialect)})"
-    left = render(f.left, dialect)
-    right = render(f.right, dialect)
-    if t is And:
-        return f"({left} {dialect.conjunction} {right})"
-    if t is Or:
-        return f"({left} {dialect.disjunction} {right})"
-    if t is Implies:
-        return f"({left} -> {right})"
-    if t is Iff:
-        return f"({left} <-> {right})"
-    if t is Until:
-        return f"({left} U {right})"
-    if t is Release:
-        return f"({left} {dialect.release} {right})"
-    raise TypeError(f"not a formula: {f!r}")
+    shape = t.__base__  # every operator subclasses _Unary or _Binary directly
+    if shape is _Binary:
+        return f"({render(f.left, dialect)} {dialect[t]} {render(f.right, dialect)})"
+    if shape is _Unary:
+        return f"({dialect[t]} {render(f.operand, dialect)})"
+    return dialect[t]
 
 
 # ---------------------------------------------------------------------------
 # Normal forms
+
+# The operator each one becomes under negation.
+_DUAL = {And: Or, Or: And, Until: Release, Release: Until, Globally: Finally, Finally: Globally}
 
 
 def nnf(f: Formula) -> Formula:
@@ -532,66 +448,41 @@ def _nnf(f: Formula, positive: bool, memo: tuple[dict, dict]) -> Formula:
     done = memo[positive]
     g = done.get(f)
     if g is None:
-        g = done[f] = _nnf_pos(f, memo) if positive else _nnf_neg(f, memo)
+        g = done[f] = _nnf_step(f, positive, memo)
     return g
 
 
-def _nnf_pos(f: Formula, memo: tuple[dict, dict]) -> Formula:
+def _nnf_step(f: Formula, positive: bool, memo: tuple[dict, dict]) -> Formula:
+    """One rewrite of ``f`` (of its negation if not ``positive``) into NNF."""
     t = type(f)
     if t is Not:
-        return _nnf(f.operand, False, memo)
-    if t is Next:
-        g = _nnf(f.operand, True, memo)
-        return f if g is f.operand else Next(g)
-    if t is Globally:
-        return Release(FALSE, _nnf(f.operand, True, memo))
-    if t is Finally:
-        return Until(TRUE, _nnf(f.operand, True, memo))
-    if t is Implies:
-        return Or(_nnf(f.left, False, memo), _nnf(f.right, True, memo))
-    left = _nnf(f.left, True, memo)
-    right = _nnf(f.right, True, memo)
-    if t is Iff:
-        return And(
-            Or(_nnf(f.left, False, memo), right),
-            Or(left, _nnf(f.right, False, memo)),
+        return _nnf(f.operand, not positive, memo)
+    if t is Next:  # !(X a) == X !a
+        g = _nnf(f.operand, positive, memo)
+        return f if positive and g is f.operand else Next(g)
+    if t is Globally or t is Finally:  # G a == false R a, F a == true U a
+        g = _nnf(f.operand, positive, memo)
+        if not positive:  # !(G a) == F !a, !(F a) == G !a
+            t = _DUAL[t]
+        return Release(FALSE, g) if t is Globally else Until(TRUE, g)
+    if t is Implies:  # a -> b == !a | b;  !(a -> b) == a & !b
+        return (Or if positive else And)(
+            _nnf(f.left, not positive, memo), _nnf(f.right, positive, memo)
         )
+    if t is Iff:  # a <-> b == (!a | b) & (a | !b);  !(a <-> b) == (a & !b) | (!a & b)
+        outer = And if positive else Or
+        inner = _DUAL[outer]
+        return outer(
+            inner(_nnf(f.left, not positive, memo), _nnf(f.right, positive, memo)),
+            inner(_nnf(f.left, positive, memo), _nnf(f.right, not positive, memo)),
+        )
+    left = _nnf(f.left, positive, memo)
+    right = _nnf(f.right, positive, memo)
+    if not positive:  # De Morgan; !(a U b) == !a R !b, !(a R b) == !a U !b
+        return _DUAL[t](left, right)
     if left is f.left and right is f.right:
         return f
     return t(left, right)
-
-
-def _nnf_neg(f: Formula, memo: tuple[dict, dict]) -> Formula:
-    t = type(f)
-    if t is Not:
-        return _nnf(f.operand, True, memo)
-    if t is Next:
-        return Next(_nnf(f.operand, False, memo))
-    if t is Globally:
-        # !(G p) == true U !p
-        return Until(TRUE, _nnf(f.operand, False, memo))
-    if t is Finally:
-        # !(F p) == false R !p
-        return Release(FALSE, _nnf(f.operand, False, memo))
-    if t is Implies:
-        return And(_nnf(f.left, True, memo), _nnf(f.right, False, memo))
-    left = _nnf(f.left, False, memo)
-    right = _nnf(f.right, False, memo)
-    if t is And:
-        return Or(left, right)
-    if t is Or:
-        return And(left, right)
-    if t is Iff:
-        return Or(
-            And(_nnf(f.left, True, memo), right),
-            And(left, _nnf(f.right, True, memo)),
-        )
-    if t is Until:
-        # !(a U b) == !a R !b
-        return Release(left, right)
-    if t is Release:
-        return Until(left, right)
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def closure(f: Formula) -> tuple[Formula, ...]:

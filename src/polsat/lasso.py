@@ -75,8 +75,8 @@ def evaluate(word: LassoWord, formula: Formula) -> bool:
     """Exact decision of ``word |= formula`` under standard LTL semantics.
 
     Works over positions ``0 .. len(prefix)+len(loop)-1`` with the loop-back
-    successor; Until/Finally are least fixpoints, Release/Globally greatest
-    fixpoints, so the answer is exact rather than a bounded approximation.
+    successor; Until/Finally are least fixpoints, Release/Globally their
+    duals, so the answer is exact rather than a bounded approximation.
     A formula's truth over all positions is one int bitset (bit ``i`` is
     position ``i``), so each fixpoint step is a few integer operations.
     """
@@ -118,10 +118,11 @@ def evaluate(word: LassoWord, formula: Formula) -> bool:
         elif t is Until:
             v = _lfp(vec(f.left), vec(f.right), step)
         elif t is Release:
-            v = _gfp(vec(f.left), vec(f.right), step, full)
+            # a R b  ==  !(!a U !b)
+            v = full ^ _lfp(full ^ vec(f.left), full ^ vec(f.right), step)
         elif t is Globally:
-            # G x  ==  false R x
-            v = _gfp(0, vec(f.operand), step, full)
+            # G x  ==  false R x  ==  !(true U !x)
+            v = full ^ _lfp(full, full ^ vec(f.operand), step)
         elif t is Finally:
             # F x  ==  true U x
             v = _lfp(full, vec(f.operand), step)
@@ -140,16 +141,6 @@ def _lfp(left: int, right: int, step: Callable[[int], int]) -> int:
     v = 0
     while True:
         nv = right | (left & step(v))
-        if nv == v:
-            return v
-        v = nv
-
-
-def _gfp(left: int, right: int, step: Callable[[int], int], full: int) -> int:
-    # Greatest fixpoint of  v[i] = right[i] and (left[i] or v[succ[i]]).
-    v = full
-    while True:
-        nv = right & (left | step(v))
         if nv == v:
             return v
         v = nv

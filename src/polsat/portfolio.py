@@ -18,6 +18,7 @@ timeout, and any other run costs at most the timeout plus ``GRACE_SECONDS``.
 from __future__ import annotations
 
 import logging
+import math
 import queue
 import threading
 import time
@@ -145,8 +146,8 @@ def _launch(
     names = [s.name for s in solvers]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate solver names: {names}")
-    if timeout <= 0:
-        raise ValueError("timeout must be positive")
+    if not 0 < timeout < math.inf:  # a nan deadline never expires; inf overflows queue.get
+        raise ValueError(f"timeout must be a positive finite number, not {timeout!r}")
     give_up = time.monotonic() + timeout + 2 * GRACE_SECONDS
     results: "queue.Queue[tuple[int, RunRecord]]" = queue.Queue()
 

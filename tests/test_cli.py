@@ -250,3 +250,17 @@ class TestConsoleEntryPoint:
         lines = proc.stdout.splitlines()
         assert lines[0] == "sat"
         assert lines[1].startswith("from ")
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+    def test_bad_timeout_is_a_usage_error(self, tmp_path, timeout):
+        env = child_env(**{ENV_REGISTRY: str(tmp_path / "reg")})
+        proc = subprocess.run(
+            [sys.executable, "-m", "polsat", "--timeout", timeout, "a U b"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "error: argument --timeout" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -6,6 +6,7 @@ from polsat.formulas import (
     ALTERNATE_DIALECT,
     DEFAULT_DIALECT,
     FALSE,
+    RESERVED_WORDS,
     TRUE,
     And,
     Finally,
@@ -129,6 +130,35 @@ class TestParse:
     def test_fixture_formulas_parse(self):
         for name in ("lift.ltl", "counter.ltl", "o1_100.ltl"):
             parse(fixture_text(name))
+
+
+class TestLexer:
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("a @ b", "position 3: unexpected character '@'"),
+            ("(a", "position 3: expected ')', found end of input"),
+            ("a b", "position 3: expected end of input or a binary operator, found 'b'"),
+            ("U", "position 1: reserved word 'U' cannot be used as a proposition"),
+        ],
+    )
+    def test_error_text(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"parse error at {message}"
+
+    def test_ascii_whitespace_separates_tokens(self):
+        # Exactly the ASCII characters str.isspace() accepts, \x1c-\x1f included.
+        assert parse("\x1ca\x1f&\tb") == And(Prop("a"), Prop("b"))
+
+    @pytest.mark.parametrize("text", ["a\x85b", "a\xa0b"])
+    def test_non_ascii_whitespace_rejected(self, text):
+        with pytest.raises(ParseError, match="non-ASCII character") as err:
+            parse(text)
+        assert err.value.position == 2
+
+    def test_reserved_words(self):
+        assert RESERVED_WORDS == {"true", "TRUE", "false", "FALSE", "X", "U", "R", "V", "G", "F"}
 
 
 class TestRender:

@@ -129,6 +129,11 @@ class TestRace:
         with pytest.raises(ValueError):
             race(parse("a"), [], 1.0)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_timeout_must_be_positive_and_finite(self, timeout):
+        with pytest.raises(ValueError, match="positive finite"):
+            race(parse("a"), internal_solvers(), timeout)
+
     def test_duplicate_names_rejected(self, stub_solver):
         a = stub_solver("same", sh_stub(["sat"]))
         with pytest.raises(ValueError):
