@@ -180,7 +180,6 @@ class BenchReport:
     outcomes: list[FormulaOutcome] = field(default_factory=list)
     records: dict[str, list[RunRecord]] = field(default_factory=dict)
     totals: dict[str, float] = field(default_factory=dict)
-    seed: int | None = None
     output_path: Path | None = None
 
     @property
@@ -205,7 +204,6 @@ def run_file(
     timeout: float = DEFAULT_TIMEOUT,
     mode: str = "separate",
     out_path: str | Path = "output.txt",
-    seed: int | None = None,
 ) -> BenchReport:
     """Check every formula in ``path`` and write the report to ``out_path``.
 
@@ -224,7 +222,6 @@ def run_file(
         mode=mode,
         timeout=timeout,
         solver_names=[s.name for s in solvers],
-        seed=seed,
         output_path=Path(out_path),
     )
     totals = {name: 0.0 for name in report.solver_names}
@@ -270,7 +267,6 @@ def _write_report(report: BenchReport) -> None:
     out = report.output_path
     lines = [
         f"# timeout: {format_seconds(report.timeout)}",
-        f"# seed: {report.seed if report.seed is not None else '-'}",
         f"# solvers: {' '.join(report.solver_names)}",
         f"# mode: {report.mode}",
         f"# formulas: {report.formula_count}",

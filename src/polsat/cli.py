@@ -32,7 +32,6 @@ from .portfolio import SolverSpec, internal_solvers, race, run_all
 __all__ = ["main"]
 
 PROMPT = "please input the formula:"
-DEFAULT_TIMEOUT = 60.0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -84,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--timeout",
         type=_timeout,
-        default=DEFAULT_TIMEOUT,
+        default=bench.DEFAULT_TIMEOUT,
         metavar="SECONDS",
         help="per-formula timeout (default 60)",
     )

@@ -8,9 +8,10 @@ third-party binaries.  Each is reached by name through :func:`run_strategy`:
   reachable cycle fulfilling every Until-eventuality on it, found on the fly
   by Couvreur's emptiness check while the graph is still being built, and is
   returned directly as evidence.  :func:`tableau_check` runs it alone.
-* ``lasso`` -- iterative deepening over the same expansion graph, one
-  level at a time, until an accepting lasso fits the depth or the whole
-  graph does; sat-only.
+* ``lasso`` -- the same check on the same graph, iteratively deepened:
+  the search path is held to 1, 2, 3, ... nodes, and the first accepting
+  cycle a pass finds is the evidence; once a pass is not cut short, the
+  whole graph was searched and it gives up.  Sat-only.
 * ``shortcut`` -- a cheap syntactic filter that proposes one-state loops
   from "obligation" literal sets and keeps a proposal only if the trace
   evaluator confirms it; sat-only, never authoritative on its own.
@@ -82,10 +83,12 @@ class Budget:
     """Work budget for a single check: node count, deadline, cancellation.
 
     ``deadline`` is an absolute ``time.monotonic()`` value.  The cancel
-    event and the deadline are polled on every :meth:`charge`; graph
-    expansion charges once every 256 expansion steps and at the end of each
-    expansion, so it notices them within 256 steps.  ``max_nodes`` stops
-    a search at exactly the step that exceeds it.
+    event and the deadline are polled on every :meth:`charge`.  Graph
+    expansion charges its steps, once every 256 and at the end of each
+    expansion; ``lasso``'s depth-bounded searches add one per visited node
+    and ``shortcut`` one per candidate, while the unbounded ``tableau``
+    search adds nothing.  ``max_nodes`` stops a search at exactly the step
+    that exceeds it.
     """
 
     max_nodes: int | None = 1_000_000
@@ -182,7 +185,8 @@ _KIND_OF = {
 
 
 class _Tableau:
-    """Shared expansion machinery for the tableau and lasso solvers.
+    """The lazily expanded graph that ``tableau`` and ``lasso`` search with
+    :func:`_accepting_scc`.
 
     Formulas are encoded as dense integer ranks (closure order) and formula
     sets (nodes, obligations) as int bitmasks over those ranks, so the hot
@@ -370,12 +374,6 @@ class _Tableau:
         node = self.node_sets[node_id]
         return frozenset([name for bit, name in self._props if node & bit])
 
-    def cycle_accepting(self, cycle_ids: list[int]) -> bool:
-        union = 0
-        for i in cycle_ids:
-            union |= self.marks[i]
-        return union == self.full_mark
-
 
 # ---------------------------------------------------------------------------
 # Complete check
@@ -514,20 +512,42 @@ def _merge_words(words: list[LassoWord]) -> LassoWord | None:
 
 def _tableau_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] | None:
     tab = _Tableau(g, budget)
-    found = _accepting_scc(tab)
+    found, _ = _accepting_scc(tab)
     return None if found is None else lambda: _extract_word(tab, *found)
 
 
-def _accepting_scc(tab: _Tableau) -> tuple[list[int], list[int]] | None:
+def _lasso_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] | None:
+    """Iterative deepening of :func:`_accepting_scc` on one graph of the NNF
+    component ``g``: the first accepting partial SCC found with the search
+    path held to 1, 2, 3, ... nodes, or None once a pass is not cut short,
+    since the whole graph was then searched.  Never concludes unsat."""
+    tab = _Tableau(g, budget)
+    for depth in count(1):
+        found, limited = _accepting_scc(tab, depth)
+        if found is not None:
+            return lambda: _extract_word(tab, *found)
+        if not limited:
+            return None
+
+
+def _accepting_scc(
+    tab: _Tableau, depth: int | None = None
+) -> tuple[tuple[list[int], list[int]] | None, bool]:
     """A path from an initial node to a node ``r``, and strongly connected
-    nodes, ``r`` first, whose marks fill ``full_mark``; or None.
+    nodes, ``r`` first, whose marks fill ``full_mark``, or None; and whether
+    ``depth`` cut the search short.
 
     Couvreur's on-the-fly emptiness check: each root of a partial SCC of
     the lazy depth-first search carries the union of its nodes' marks.  An
     edge into an active node merges roots, and the search stops as soon as
-    a merged union is full, before the SCC is complete.
+    a merged union is full, before the SCC is complete.  With ``depth``,
+    unvisited successors are skipped once the search path holds ``depth``
+    nodes, and each visit is charged: a deeper pass re-walks nodes whose
+    successors are cached, which charges nothing else.  A cycle found on
+    that subgraph is still a cycle of the graph.
     """
-    marks, full = tab.marks, tab.full_mark
+    marks, full, charge = tab.marks, tab.full_mark, tab.budget.charge
+    limited = False
     visited: set[int] = set()
     on_stack: dict[int, int] = {}  # active node -> its position in ``stack``
     stack: list[int] = []
@@ -536,6 +556,8 @@ def _accepting_scc(tab: _Tableau) -> tuple[list[int], list[int]] | None:
     work: list[tuple[int, Iterator[int]]] = []
 
     def visit(v: int) -> None:
+        if depth is not None:
+            charge()
         visited.add(v)
         on_stack[v] = len(stack)
         root_at.append(len(stack))
@@ -550,6 +572,9 @@ def _accepting_scc(tab: _Tableau) -> tuple[list[int], list[int]] | None:
             v, succ = work[-1]
             for w in succ:
                 if w not in visited:
+                    if len(work) == depth:
+                        limited = True
+                        continue
                     visit(w)
                     break
                 at = on_stack.get(w)
@@ -564,7 +589,8 @@ def _accepting_scc(tab: _Tableau) -> tuple[list[int], list[int]] | None:
                         # the path from ``start`` to this one.
                         root = stack[root_at[-1]]
                         path = [x for x, _ in work]
-                        return path[: path.index(root) + 1], stack[root_at[-1] :]
+                        found = path[: path.index(root) + 1], stack[root_at[-1] :]
+                        return found, limited
             else:
                 work.pop()
                 at = on_stack[v]
@@ -574,7 +600,7 @@ def _accepting_scc(tab: _Tableau) -> tuple[list[int], list[int]] | None:
                     for w in stack[at:]:
                         del on_stack[w]
                     del stack[at:]
-    return None
+    return None, limited
 
 
 def _extract_word(tab: _Tableau, path: list[int], members: list[int]) -> LassoWord:
@@ -622,65 +648,6 @@ def _path_within(
             parent[w] = v
             queue.append(w)
     raise AssertionError("members are strongly connected; path must exist")
-
-
-# ---------------------------------------------------------------------------
-# Iterative-deepening sat-only search
-
-
-def _lasso_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] | None:
-    """Iterative deepening on one graph of the NNF component ``g``: the first
-    accepting lasso whose total length (prefix plus loop) fits the depth, or
-    None once a depth is not reached because the whole graph fits within
-    it.  Never concludes unsat."""
-    tab = _Tableau(g, budget)
-    init_ids = tab.initial_ids()
-    for depth in count(1):
-        word, limited = _bounded_dfs(tab, init_ids, depth)
-        if word is not None:
-            return lambda: word
-        if not limited:
-            return None
-
-
-def _bounded_dfs(
-    tab: _Tableau, init_ids: list[int], depth: int
-) -> tuple[LassoWord | None, bool]:
-    limited = False
-    path: list[int] = []
-    position: dict[int, int] = {}
-    for init in init_ids:
-        tab.budget.charge()
-        if init in position:
-            continue
-        stack: list[tuple[int, int]] = [(init, 0)]
-        path.append(init)
-        position[init] = 0
-        while stack:
-            tab.budget.charge()
-            v, child_idx = stack.pop()
-            succ = tab.successors(v)
-            if child_idx < len(succ):
-                stack.append((v, child_idx + 1))
-                w = succ[child_idx]
-                at = position.get(w)
-                if at is not None:
-                    cycle = path[at:]
-                    if tab.cycle_accepting(cycle):
-                        prefix = tuple(tab.state_of(i) for i in path[:at])
-                        loop = tuple(tab.state_of(i) for i in cycle)
-                        return LassoWord(prefix, loop), limited
-                    continue
-                if len(path) >= depth:
-                    limited = True
-                    continue
-                position[w] = len(path)
-                path.append(w)
-                stack.append((w, 0))
-            else:
-                del position[v]
-                path.pop()
-    return None, limited
 
 
 # ---------------------------------------------------------------------------

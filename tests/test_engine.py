@@ -7,6 +7,7 @@ from polsat.bench import gen_O1, gen_random
 from polsat.engine import (
     Budget,
     _components,
+    _lasso_component,
     _tableau_component,
     run_strategy,
     tableau_check,
@@ -14,7 +15,7 @@ from polsat.engine import (
 from polsat.formulas import FALSE, TRUE, And, Iff, Prop, nnf, parse
 from polsat.lasso import evaluate, print_evidence
 
-from conftest import child_env, fixture_text, random_formula
+from conftest import UNDECIDED, child_env, fixture_text, random_formula
 from oracle import VectorOracle, stream_formulas
 
 
@@ -51,14 +52,15 @@ class TestTableau:
 
         snippet = (
             "from polsat.bench import gen_random\n"
-            "from polsat.engine import tableau_check\n"
+            "from polsat.engine import Budget, run_strategy, tableau_check\n"
             "from polsat.lasso import print_evidence\n"
             "for seed in (1, 2, 3, 4):\n"
-            "    v = tableau_check(gen_random(30, 3, seed))\n"
-            "    line = v.kind\n"
-            "    if v.evidence is not None:\n"
-            "        line += ' ' + print_evidence(v.evidence)\n"
-            "    print(line)\n"
+            "    f = gen_random(30, 3, seed)\n"
+            "    for v in (tableau_check(f), run_strategy('lasso', f, Budget())):\n"
+            "        line = v.kind\n"
+            "        if v.evidence is not None:\n"
+            "            line += ' ' + print_evidence(v.evidence)\n"
+            "        print(line)\n"
         )
         outputs = set()
         for seed in ("0", "1", "random"):
@@ -95,27 +97,41 @@ class TestTableau:
         # A deeply nested iff tower makes the expansion slog (hundreds of
         # millions of charges, so it cannot finish first); cancellation must
         # cut it off almost immediately.
-        f = Prop("a")
+        tower = Prop("a")
         rng = random.Random(3)
         for _ in range(12):
-            f = Iff(f, random_formula(rng, 9, ("a", "b", "c")))
-        cancel = threading.Event()
-        results = {}
+            tower = Iff(tower, random_formula(rng, 9, ("a", "b", "c")))
+        # Every node of the dense formula has the same X-label and so the
+        # same 512 successors: after one expansion, ``lasso``'s deepening
+        # passes walk cached nodes for many seconds, and only the charge per
+        # visited node polls the cancel event.
+        dense = parse(
+            "G (!a & " + " & ".join(f"(p{i} | q{i})" for i in range(9)) + ") & G F a"
+        )
+        cases = [
+            ("tableau", tower, 0.05),
+            ("lasso", parse(UNDECIDED), 0.5),
+            ("lasso", dense, 0.5),
+        ]
+        for name, f, running in cases:
+            cancel = threading.Event()
+            results = {}
 
-        def run():
-            results["verdict"] = tableau_check(f, Budget(max_nodes=None, cancel=cancel))
+            def run():
+                budget = Budget(max_nodes=None, cancel=cancel)
+                results["verdict"] = run_strategy(name, f, budget)
 
-        t = threading.Thread(target=run)
-        t.start()
-        time.sleep(0.05)
-        cancel.set()
-        t0 = time.monotonic()
-        t.join(5.0)
-        waited = time.monotonic() - t0
-        assert not t.is_alive()
-        verdict = results["verdict"]
-        assert verdict.kind == "unknown" and verdict.reason == "cancelled"
-        assert waited < 0.2
+            t = threading.Thread(target=run)
+            t.start()
+            time.sleep(running)
+            cancel.set()
+            t0 = time.monotonic()
+            t.join(5.0)
+            waited = time.monotonic() - t0
+            assert not t.is_alive(), name
+            verdict = results["verdict"]
+            assert verdict.kind == "unknown" and verdict.reason == "cancelled", name
+            assert waited < 0.2, name
 
     def test_iff_towers_decided_in_time(self):
         # Normalising the tower once per subformula keeps it linear: the
@@ -367,12 +383,13 @@ class TestEngineAgreement:
         texts = [fixture_text("lift.ltl"), fixture_text("counter.ltl")]
         for text in texts + ["G F a & G F !a & (b U c)"]:
             for component in _components(nnf(parse(text))):
-                cancel = threading.Event()
-                budget = Budget(max_nodes=None, cancel=cancel)
-                build = _tableau_component(component, budget)
-                assert build is not None
-                cancel.set()
-                charged = budget.nodes
-                word = build()
-                assert budget.nodes == charged
-                assert evaluate(word, component)
+                for check in (_tableau_component, _lasso_component):
+                    cancel = threading.Event()
+                    budget = Budget(max_nodes=None, cancel=cancel)
+                    build = check(component, budget)
+                    assert build is not None
+                    cancel.set()
+                    charged = budget.nodes
+                    word = build()
+                    assert budget.nodes == charged
+                    assert evaluate(word, component)
