@@ -3,13 +3,17 @@
 Three in-process solvers back the portfolio so it works without any
 third-party binaries.  Each is reached by name through :func:`run_strategy`:
 
-* ``tableau`` -- a complete, sound (within budget) graph tableau.  Nodes are
-  locally consistent, fully expanded formula sets; an accepting lasso is a
-  reachable cycle fulfilling every Until-eventuality on it, found on the fly
-  by Couvreur's emptiness check while the graph is still being built, and is
-  returned directly as evidence.  :func:`tableau_check` runs it alone.
+* ``tableau`` -- a complete, sound (within budget) graph tableau.  Its
+  states are obligation sets: the root formula, then the X-labels of the
+  locally consistent, fully expanded formula sets (nodes) that discharge a
+  state's obligations.  A transition goes to a node's X-label, carries the
+  Untils the node does not owe as its acceptance mark, and keeps the
+  node's propositions as its letter.  An accepting lasso is a reachable
+  cycle whose marks cover every Until, found on the fly by Couvreur's
+  emptiness check while the graph is still being built, and is returned
+  directly as evidence.  :func:`tableau_check` runs it alone.
 * ``lasso`` -- the same check on the same graph, iteratively deepened:
-  the search path is held to 1, 2, 3, ... nodes, and the first accepting
+  the search path is held to 1, 2, 3, ... states, and the first accepting
   cycle a pass finds is the evidence; once a pass is not cut short, the
   whole graph was searched and it gives up.  Sat-only.
 * ``shortcut`` -- a cheap syntactic filter that proposes one-state loops
@@ -23,8 +27,8 @@ builds evidence only once every component is sat.  The solvers of one race
 share the split and skip the components another of them has shown sat.
 
 Expansion rules: ``a U b`` expands to ``b | (a & X(a U b))``, ``a R b`` to
-``b & (a | X(a R b))``; And/Or saturate; the successor obligation set is the
-set of operands of X-formulas in a node.
+``b & (a | X(a R b))``; And/Or saturate; a node's X-label, the state it
+passes on, is the set of operands of its X-formulas.
 """
 
 from __future__ import annotations
@@ -85,10 +89,11 @@ class Budget:
     ``deadline`` is an absolute ``time.monotonic()`` value.  The cancel
     event and the deadline are polled on every :meth:`charge`.  Graph
     expansion charges its steps, once every 256 and at the end of each
-    expansion; ``lasso``'s depth-bounded searches add one per visited node
+    expansion; ``lasso``'s depth-bounded searches add one per visited state
     and ``shortcut`` one per candidate, while the unbounded ``tableau``
-    search adds nothing.  ``max_nodes`` stops a search at exactly the step
-    that exceeds it.
+    search adds nothing: its walk over a state's transitions is bounded by
+    the steps that state's expansion charged.  ``max_nodes`` stops a search
+    at exactly the step that exceeds it.
     """
 
     max_nodes: int | None = 1_000_000
@@ -188,12 +193,14 @@ class _Tableau:
     """The lazily expanded graph that ``tableau`` and ``lasso`` search with
     :func:`_accepting_scc`.
 
-    Formulas are encoded as dense integer ranks (closure order) and formula
-    sets (nodes, obligations) as int bitmasks over those ranks, so the hot
-    set operations are integer operations.  All iteration orders are pinned
-    (formulas by rank, branches left-first, nodes by creation id), which
-    makes verdicts and evidence deterministic for a fixed formula and
-    budget.
+    A state is an obligation set: ``1`` (the root formula, rank 0) and then
+    the X-labels of expanded nodes, since a node's successors depend only
+    on its X-label.  Formulas are encoded as dense integer ranks (closure
+    order) and formula sets (nodes, states) as int bitmasks over those
+    ranks, so the hot set operations are integer operations.  All iteration
+    orders are pinned (formulas by rank, branches left-first, transitions
+    by completion), which makes verdicts and evidence deterministic for a
+    fixed formula and budget.
     """
 
     def __init__(self, root: Formula, budget: Budget) -> None:
@@ -219,72 +226,54 @@ class _Tableau:
                 if t is Prop:
                     props.append((1 << r, g.name))
 
-        n = len(kind)
-        next_rank = {arg1[r]: r for r in range(n) if kind[r] == _K_NEXT}
-        clash = [0] * n  # bit of the complementary literal, when in the universe
-        next_of = [-1] * n  # rank of X(g) for Until/Release g
+        clash = [0] * len(kind)  # bit of the complementary literal, if any
         true_bit = 0
-        # Acceptance obligations as (Until bit, right-side bit).  An Until
-        # whose right side is ``true`` is fulfilled at every position (and
-        # True never appears in node sets, so it could not be marked), hence
-        # it imposes no obligation.
-        untils: list[tuple[int, int]] = []
-        for r in range(n):
-            k = kind[r]
+        # Acceptance obligations as (Until bit, right-side bit, mark bit).  An
+        # Until whose right side is ``true`` is fulfilled at every position
+        # (and True never appears in node sets, so it could not be marked),
+        # hence it imposes no obligation.
+        untils: list[tuple[int, int, int]] = []
+        for r, k in enumerate(kind):
             if k == _K_LIT and arg1[r] >= 0:
                 clash[r] = 1 << arg1[r]
                 clash[arg1[r]] = 1 << r
             elif k == _K_TRUE:
                 true_bit = 1 << r
-            elif k >= _K_UNTIL:
-                # X(g), ranked after the closure in closure order unless the
-                # closure already holds it.
-                next_of[r] = next_rank.get(r, len(kind))
-                if next_of[r] == len(kind):
-                    kind.append(_K_NEXT)
-                    arg1.append(r)
-                if k == _K_UNTIL and kind[arg2[r]] != _K_TRUE:
-                    untils.append((1 << r, 1 << arg2[r]))
+            elif k == _K_UNTIL and kind[arg2[r]] != _K_TRUE:
+                untils.append((1 << r, 1 << arg2[r], 1 << len(untils)))
 
         self._kind = kind
         self._arg1 = arg1
         self._arg2 = arg2
         self._clash = clash
-        self._next_of = next_of
         self._true_bit = true_bit
-        self.untils = tuple(untils)
-        # (bit of X(g), bit of g) per Next formula, and (bit, name) per Prop.
-        self._nexts = tuple(
-            (1 << r, 1 << arg1[r]) for r, k in enumerate(kind) if k == _K_NEXT
-        )
+        self._untils = tuple(untils)
         self._props = tuple(props)
-        # Successor ids by X-label (the obligations a node passes on).
-        self._expand_cache: dict[int, tuple[int, ...]] = {}
-        self.nodes: dict[int, int] = {}
-        self.node_sets: list[int] = []
-        self._succ: list[tuple[int, ...] | None] = []
-        # Acceptance mark per node id: bit i is set when the node does not
-        # owe Until i or fulfils it.  A cycle is accepting when the union
-        # of its marks is ``full_mark``.
-        self.marks: list[int] = []
+        # A transition's mark has bit i set when its node does not owe
+        # Until i or fulfils it.  A cycle is accepting when the union of
+        # its transitions' marks is ``full_mark``.
         self.full_mark = (1 << len(untils)) - 1
+        self._expand_cache: dict[int, tuple[tuple[int, int, int], ...]] = {}
 
-    # -- expansion ---------------------------------------------------------
-
-    def expand(self, obligations: int) -> tuple[int, ...]:
-        """Ids of the fully expanded nodes that discharge ``obligations``,
-        interned in the order the left-first branch search completes them."""
-        cached = self._expand_cache.get(obligations)
+    def expand(self, state: int) -> tuple[tuple[int, int, int], ...]:
+        """The transitions out of ``state`` as (next state, mark, node)
+        triples: one per distinct (next state, mark), in the order the
+        left-first branch search completes them, and witnessed by the first
+        fully expanded node that completes it."""
+        cached = self._expand_cache.get(state)
         if cached is not None:
             return cached
         kind, arg1, arg2 = self._kind, self._arg1, self._arg2
-        clash, next_of, true_bit = self._clash, self._next_of, self._true_bit
+        clash, true_bit = self._clash, self._true_bit
+        untils, full = self._untils, self.full_mark
         budget = self.budget
         steps, batch = 0, budget._batch()
-        out: dict[int, None] = {}
-        stack: list[tuple[int, int]] = [(0, obligations & ~true_bit)]
+        out: dict[tuple[int, int], tuple[int, int, int]] = {}
+        # Each branch is (done, todo, label): the formulas the node holds,
+        # those still to expand, and the obligations it passes on.
+        stack: list[tuple[int, int, int]] = [(0, state & ~true_bit, 0)]
         while stack:
-            done, todo = stack.pop()
+            done, todo, label = stack.pop()
             # Follow one branch to its end; alternatives wait on ``stack``.
             while True:
                 steps += 1
@@ -292,7 +281,11 @@ class _Tableau:
                     budget.charge(batch)
                     steps, batch = 0, budget._batch()
                 if not todo:
-                    out[done] = None
+                    mark = full
+                    for u, r, m in untils:
+                        if done & u and not done & r:
+                            mark ^= m
+                    out.setdefault((label, mark), (label, mark, done))
                     break
                 bit = todo & -todo  # lowest rank first
                 todo ^= bit
@@ -304,6 +297,7 @@ class _Tableau:
                     done |= bit
                 elif k == _K_NEXT:
                     done |= bit
+                    label |= 1 << arg1[g] & ~true_bit
                 elif k == _K_AND:
                     done |= bit
                     todo |= ((1 << arg1[g]) | (1 << arg2[g])) & ~(done | true_bit)
@@ -317,61 +311,34 @@ class _Tableau:
                     elif kind[b] == _K_FALSE or done & clash[b]:
                         todo |= 1 << a
                     else:
-                        stack.append((done, todo | 1 << b))  # explored second
+                        stack.append((done, todo | 1 << b, label))  # explored second
                         todo |= 1 << a
                 elif k == _K_UNTIL:
                     done |= bit
                     if not done & 1 << arg2[g]:
                         # delay (explored second) or fulfil now
-                        delay = (1 << arg1[g] | 1 << next_of[g]) & ~true_bit
-                        stack.append((done, todo | delay))
+                        delay = todo | 1 << arg1[g] & ~true_bit
+                        stack.append((done, delay, label | bit))
                         todo |= 1 << arg2[g] & ~true_bit
                 elif k == _K_RELEASE:
                     done |= bit
                     todo |= 1 << arg2[g] & ~(done | true_bit)
                     if kind[arg1[g]] == _K_FALSE:  # G: never released
-                        todo |= 1 << next_of[g] & ~done
-                    elif not done & (1 << arg1[g] | 1 << next_of[g]):
+                        label |= bit
+                    elif not (done & 1 << arg1[g] or label & bit):
                         # keep releasing (explored second) or release now
-                        stack.append((done, todo | 1 << next_of[g]))
+                        stack.append((done, todo, label | bit))
                         todo |= 1 << arg1[g] & ~true_bit
                 elif k == _K_FALSE:
                     break
                 # True holds everywhere: it never enters ``todo`` or a node.
         if steps:
             budget.charge(steps)
-        nodes, node_sets = self.nodes, self.node_sets
-        for node in out:
-            if node not in nodes:
-                nodes[node] = len(node_sets)
-                node_sets.append(node)
-                self._succ.append(None)
-                mark = 0
-                for i, (u, r) in enumerate(self.untils):
-                    if not node & u or node & r:
-                        mark |= 1 << i
-                self.marks.append(mark)
-        result = self._expand_cache[obligations] = tuple(map(nodes.__getitem__, out))
+        result = self._expand_cache[state] = tuple(out.values())
         return result
 
-    # -- graph -------------------------------------------------------------
-
-    def initial_ids(self) -> list[int]:
-        return list(self.expand(1))  # the root has rank 0
-
-    def successors(self, node_id: int) -> tuple[int, ...]:
-        succ = self._succ[node_id]
-        if succ is None:
-            node = self.node_sets[node_id]
-            label = 0
-            for bit, operand in self._nexts:
-                if node & bit:
-                    label |= operand
-            succ = self._succ[node_id] = self.expand(label)
-        return succ
-
-    def state_of(self, node_id: int) -> frozenset[str]:
-        node = self.node_sets[node_id]
+    def state_of(self, node: int) -> frozenset[str]:
+        """The letter of ``node``: the propositions it holds."""
         return frozenset([name for bit, name in self._props if node & bit])
 
 
@@ -395,8 +362,9 @@ def tableau_check(f: Formula, budget: Budget | None = None) -> Verdict:
 
 class _Split:
     """A formula's components, split once, and the lasso builder of each
-    component shown sat.  A builder only walks edges its search cached, so
-    it charges nothing, even after its solver has been cancelled."""
+    component shown sat.  A builder only walks transitions its search
+    cached, so it charges nothing, even after its solver has been
+    cancelled."""
 
     def __init__(self, formula: Formula) -> None:
         self.formula = formula
@@ -519,7 +487,7 @@ def _tableau_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] | 
 def _lasso_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] | None:
     """Iterative deepening of :func:`_accepting_scc` on one graph of the NNF
     component ``g``: the first accepting partial SCC found with the search
-    path held to 1, 2, 3, ... nodes, or None once a pass is not cut short,
+    path held to 1, 2, 3, ... states, or None once a pass is not cut short,
     since the whole graph was then searched.  Never concludes unsat."""
     tab = _Tableau(g, budget)
     for depth in count(1):
@@ -533,120 +501,122 @@ def _lasso_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] | No
 def _accepting_scc(
     tab: _Tableau, depth: int | None = None
 ) -> tuple[tuple[list[int], list[int]] | None, bool]:
-    """A path from an initial node to a node ``r``, and strongly connected
-    nodes, ``r`` first, whose marks fill ``full_mark``, or None; and whether
-    ``depth`` cut the search short.
+    """The witness nodes of a path of transitions from the initial state to
+    a state ``r``, and strongly connected states, ``r`` first, whose inner
+    transitions' marks fill ``full_mark``, or None; and whether ``depth``
+    cut the search short.
 
-    Couvreur's on-the-fly emptiness check: each root of a partial SCC of
-    the lazy depth-first search carries the union of its nodes' marks.  An
-    edge into an active node merges roots, and the search stops as soon as
-    a merged union is full, before the SCC is complete.  With ``depth``,
-    unvisited successors are skipped once the search path holds ``depth``
-    nodes, and each visit is charged: a deeper pass re-walks nodes whose
-    successors are cached, which charges nothing else.  A cycle found on
-    that subgraph is still a cycle of the graph.
+    Couvreur's on-the-fly emptiness check with the marks on transitions:
+    each root of a partial SCC of the lazy depth-first search keeps the
+    mark of the transition the search entered it by and the union of the
+    marks inside its partial SCC.  A transition into an active state merges
+    roots: the surviving root gains the closing transition's mark and both
+    marks of every root merged into it, but not its own entry mark, which
+    lies outside.  The search stops as soon as a merged union is full,
+    before the SCC is complete.  With ``depth``, unvisited successors are
+    skipped once the search path holds ``depth`` states, and each visit is
+    charged: a deeper pass re-walks states whose transitions are cached,
+    which charges nothing else.  A cycle found on that subgraph is still a
+    cycle of the graph.
     """
-    marks, full, charge = tab.marks, tab.full_mark, tab.budget.charge
+    full, charge = tab.full_mark, tab.budget.charge
     limited = False
-    visited: set[int] = set()
-    on_stack: dict[int, int] = {}  # active node -> its position in ``stack``
+    # Visited state -> its position in ``stack``, or -1 once its SCC is done.
+    pos: dict[int, int] = {}
     stack: list[int] = []
-    root_at: list[int] = []  # stack position of each partial SCC's root
-    root_mark: list[int] = []  # union of that partial SCC's marks
-    work: list[tuple[int, Iterator[int]]] = []
+    # Per partial SCC: its root's stack position, the mark of the
+    # transition into that root, and the union of the marks inside it.
+    roots: list[tuple[int, int, int]] = []
+    # (state, witness node of the transition into it, its transitions)
+    work: list[tuple[int, int, Iterator[tuple[int, int, int]]]] = []
 
-    def visit(v: int) -> None:
+    def visit(v: int, mark: int, node: int) -> None:
         if depth is not None:
             charge()
-        visited.add(v)
-        on_stack[v] = len(stack)
-        root_at.append(len(stack))
-        root_mark.append(marks[v])
+        pos[v] = len(stack)
+        roots.append((len(stack), mark, 0))
         stack.append(v)
-        work.append((v, iter(tab.successors(v))))
+        work.append((v, node, iter(tab.expand(v))))
 
-    for start in tab.initial_ids():
-        if start not in visited:
-            visit(start)
-        while work:
-            v, succ = work[-1]
-            for w in succ:
-                if w not in visited:
-                    if len(work) == depth:
-                        limited = True
-                        continue
-                    visit(w)
-                    break
-                at = on_stack.get(w)
-                if at is not None:
-                    union = 0
-                    while root_at[-1] > at:
-                        root_at.pop()
-                        union |= root_mark.pop()
-                    root_mark[-1] |= union
-                    if root_mark[-1] == full:
-                        # Roots lie on the search path, so ``work`` holds
-                        # the path from ``start`` to this one.
-                        root = stack[root_at[-1]]
-                        path = [x for x, _ in work]
-                        found = path[: path.index(root) + 1], stack[root_at[-1] :]
-                        return found, limited
-            else:
-                work.pop()
-                at = on_stack[v]
-                if root_at[-1] == at:  # v's SCC is complete, and not accepting
-                    root_at.pop()
-                    root_mark.pop()
-                    for w in stack[at:]:
-                        del on_stack[w]
-                    del stack[at:]
+    visit(1, 0, 0)  # the root formula has rank 0
+    while work:
+        v, _, succ = work[-1]
+        for w, mark, node in succ:
+            at = pos.get(w)
+            if at is None:
+                if len(work) == depth:
+                    limited = True
+                    continue
+                visit(w, mark, node)
+                break
+            if at >= 0:
+                # The closing mark, and both marks of each root merged away.
+                while roots[-1][0] > at:
+                    _, entry, inner = roots.pop()
+                    mark |= entry | inner
+                at, entry, inner = roots[-1]
+                roots[-1] = at, entry, inner | mark
+                if inner | mark == full:
+                    # Roots lie on the search path, so ``work`` holds the
+                    # path from the initial state to this one.
+                    states = [x for x, _, _ in work]
+                    path = [x for _, x, _ in work[1 : states.index(stack[at]) + 1]]
+                    return (path, stack[at:]), limited
+        else:
+            work.pop()
+            at = pos[v]
+            if roots[-1][0] == at:  # v's SCC is complete, and not accepting
+                roots.pop()
+                for w in stack[at:]:
+                    pos[w] = -1
+                del stack[at:]
     return None, limited
 
 
 def _extract_word(tab: _Tableau, path: list[int], members: list[int]) -> LassoWord:
-    """The lasso along ``path`` into ``members`` (which start at the path's
-    last node) and then around a cycle within them through one
-    fulfillment witness per pending Until."""
+    """The lasso whose prefix is the letters of the witness nodes ``path``
+    and whose loop goes around a cycle within the states ``members``,
+    starting and ending at the first: from there it takes, for each mark
+    bit not yet covered, the nearest transition inside ``members`` that
+    carries it, and then returns."""
     inside = set(members)
-    node_sets, marks = tab.node_sets, tab.marks
-    entry = path[-1]
-    cycle = [entry]
-    for k, (u, _) in enumerate(tab.untils):
-        if not any(node_sets[i] & u for i in members):
-            continue
-        witness = next(i for i in members if marks[i] >> k & 1)
-        if witness != cycle[-1]:
-            cycle.extend(_path_within(tab, inside, cycle[-1], witness))
-    cycle.extend(_path_within(tab, inside, cycle[-1], entry))
-    cycle.pop()  # final entry duplicates cycle[0]
-
-    prefix = tuple(map(tab.state_of, path[:-1]))
-    loop = tuple(map(tab.state_of, cycle))
-    return LassoWord(prefix, loop)
+    root, owed = members[0], tab.full_mark
+    loop: list[int] = []
+    state = root
+    while owed or state != root or not loop:
+        hops = _path_within(tab, inside, state, root, owed)
+        for state, mark, node in hops:
+            owed &= ~mark
+            loop.append(node)
+    return LassoWord(tuple(map(tab.state_of, path)), tuple(map(tab.state_of, loop)))
 
 
 def _path_within(
-    tab: _Tableau, members: set[int], source: int, target: int
-) -> list[int]:
-    """Nodes after ``source`` up to and including ``target``, inside ``members``.
+    tab: _Tableau, members: set[int], source: int, target: int, owed: int
+) -> list[tuple[int, int, int]]:
+    """The transitions of a shortest path inside ``members`` from ``source``
+    to the first transition that carries a bit of ``owed`` or, when nothing
+    is owed, that enters ``target``.
 
     When source equals target this finds a nontrivial cycle back to it.
     """
-    parent: dict[int, int] = {}
+    parent: dict[int, tuple[int, int, int]] = {}  # state -> transition into it
     queue = [source]
     for v in queue:
-        for w in tab.successors(v):
-            if w not in members or w in parent:
+        for w, mark, node in tab.expand(v):
+            if w not in members:
                 continue
-            if w == target:
-                hops = [w]
+            if mark & owed if owed else w == target:
+                hops = [(w, mark, node)]
                 while v != source:
-                    hops.append(v)
-                    v = parent[v]
+                    u, m, n = parent[v]
+                    hops.append((v, m, n))
+                    v = u
                 hops.reverse()
                 return hops
-            parent[w] = v
-            queue.append(w)
+            if w != source and w not in parent:
+                parent[w] = (v, mark, node)
+                queue.append(w)
     raise AssertionError("members are strongly connected; path must exist")
 
 

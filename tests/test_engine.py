@@ -21,9 +21,13 @@ from oracle import VectorOracle, stream_formulas
 
 class TestTableau:
     def test_until_is_sat_with_valid_evidence(self):
-        v = tableau_check(parse("a U b"))
-        assert v.is_sat
-        assert evaluate(v.evidence, parse("a U b"))
+        # Before the accepting cycle, the search closes one that owes an
+        # Until on every transition; the transition into that cycle owes
+        # nothing and must not make it accepting.
+        for text in ("a U b", "G ((X (G a)) <-> a)"):
+            v = tableau_check(parse(text))
+            assert v.is_sat, text
+            assert evaluate(v.evidence, parse(text)), text
 
     def test_false_is_unsat(self):
         assert tableau_check(FALSE).is_unsat
@@ -32,7 +36,11 @@ class TestTableau:
         assert tableau_check(parse("p & !p")).is_unsat
 
     def test_globally_next_contradiction_is_unsat(self):
-        assert tableau_check(parse("(G c) & (X ! c)")).is_unsat
+        # The second formula's only cycle owes its Until on every
+        # transition; the transition into it owes nothing and must not make
+        # it accepting.
+        for text in ("(G c) & (X ! c)", "X (F (a & !(F a)))"):
+            assert tableau_check(parse(text)).is_unsat, text
 
     def test_true_is_sat(self):
         v = tableau_check(TRUE)
@@ -88,6 +96,17 @@ class TestTableau:
             assert tableau_check(f, budget).is_timeout
             assert budget.nodes == n + 1
 
+    def test_dense_graph_answers_within_its_deadline(self):
+        # 4,096 nodes share one X-label, so the search walks one state
+        # whose transitions its expansion, which polls the deadline, built.
+        f = parse(
+            "G (!a & " + " & ".join(f"(p{i} | q{i})" for i in range(12)) + ") & G F a"
+        )
+        start = time.monotonic()
+        v = run_strategy("tableau", f, Budget(max_nodes=None, deadline=start + 0.5))
+        assert v.is_unsat or v.is_timeout
+        assert time.monotonic() - start < 1.0
+
     def test_budget_exhaustion_reports_timeout(self):
         f = gen_random(120, 3, 5)
         v = tableau_check(f, Budget(max_nodes=10))
@@ -101,17 +120,19 @@ class TestTableau:
         rng = random.Random(3)
         for _ in range(12):
             tower = Iff(tower, random_formula(rng, 9, ("a", "b", "c")))
-        # Every node of the dense formula has the same X-label and so the
-        # same 512 successors: after one expansion, ``lasso``'s deepening
-        # passes walk cached nodes for many seconds, and only the charge per
-        # visited node polls the cancel event.
+        # Past the root, the dense formula has one state per subset of
+        # {b0, ..., b7}, each with transitions to all 256: after they are
+        # expanded, ``lasso``'s deepening passes walk cached states for many
+        # seconds, and only the charge per visited state polls the cancel
+        # event.
         dense = parse(
-            "G (!a & " + " & ".join(f"(p{i} | q{i})" for i in range(9)) + ") & G F a"
+            "G F (d & c) & G !d & "
+            + " & ".join(f"G ((a{i} & c) -> X b{i})" for i in range(8))
         )
         cases = [
             ("tableau", tower, 0.05),
             ("lasso", parse(UNDECIDED), 0.5),
-            ("lasso", dense, 0.5),
+            ("lasso", dense, 2.0),
         ]
         for name, f, running in cases:
             cancel = threading.Event()
