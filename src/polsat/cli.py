@@ -6,7 +6,9 @@ Usage mirrors the tool's original transcripts:
   (the literal ``eclipse time:`` prefix is kept for fidelity; it means
   elapsed time).
 * ``polsat -e "a U b"`` adds an evidence line after a sat verdict.
-* ``polsat -s "<formula>"`` runs every solver to completion, fastest first.
+* ``polsat -s "<formula>"`` runs every solver to completion, fastest first,
+  and adds a ``disagreement:`` line when their verdicts conflict or a
+  solver's evidence does not satisfy the formula.
 * ``polsat -sm <file>`` checks a whole file and writes output.txt.
 * ``polsat -add <solverpath>`` registers an external solver.
 * With no arguments the tool prompts ``please input the formula:``.
@@ -26,8 +28,8 @@ from . import bench
 from .engine import Verdict
 from .external import RegistrationError, Registry, as_solver_spec, register
 from .formulas import ParseError, parse
-from .lasso import evaluate, print_evidence
-from .portfolio import SolverSpec, internal_solvers, race, run_all
+from .lasso import print_evidence
+from .portfolio import SolverSpec, arbitrate, internal_solvers, race, run_all
 
 __all__ = ["main"]
 
@@ -126,15 +128,22 @@ def _check_formula(text: str, args: argparse.Namespace) -> int:
     solvers = _solver_set()
     if args.separate:
         records = run_all(formula, solvers, args.timeout)
+        report = arbitrate(records, formula)
         for record in records:
             print(f"{record.solver}: {record.verdict.kind}\t{bench.format_seconds(record.elapsed)}s")
             if (
                 args.evidence
                 and record.verdict.is_sat
                 and record.verdict.evidence is not None
-                and evaluate(record.verdict.evidence, formula)
+                and record.solver not in report.invalid_evidence
             ):
                 print(print_evidence(record.verdict.evidence))
+        named = {} if report.consistent else dict(report.verdict_groups)
+        if report.invalid_evidence:
+            named["invalid evidence"] = report.invalid_evidence
+        if named:
+            listed = "; ".join(f"{k} from {', '.join(v)}" for k, v in named.items())
+            print(f"disagreement: {listed}")
         return 0 if any(r.verdict.is_definitive for r in records) else 2
     result = race(formula, solvers, args.timeout, want_evidence=args.evidence)
     return _print_single(result.verdict, result.winner, result.elapsed, args.evidence)

@@ -21,10 +21,11 @@ third-party binaries.  Each is reached by name through :func:`run_strategy`:
   evaluator confirms it; sat-only, never authoritative on its own.
 
 Each checks the variable-disjoint components (groups of top-level
-conjuncts) one at a time, stops at the first component it cannot show sat
-(Unsat for the tableau, Unknown(incomplete) for the sat-only two), and
-builds evidence only once every component is sat.  The solvers of one race
-share the split and skip the components another of them has shown sat.
+conjuncts) of the formula's NNF after :func:`_simplify` one at a time,
+stops at the first component it cannot show sat (Unsat for the tableau,
+Unknown(incomplete) for the sat-only two), and builds evidence only once
+every component is sat.  The solvers of one race share that split and skip
+the components another of them has shown sat.
 
 Expansion rules: ``a U b`` expands to ``b | (a & X(a U b))``, ``a R b`` to
 ``b & (a | X(a R b))``; And/Or saturate; a node's X-label, the state it
@@ -42,6 +43,8 @@ from math import lcm
 from typing import Callable, Iterator
 
 from .formulas import (
+    FALSE,
+    TRUE,
     And,
     FalseConst,
     Formula,
@@ -361,21 +364,24 @@ def tableau_check(f: Formula, budget: Budget | None = None) -> Verdict:
 
 
 class _Split:
-    """A formula's components, split once, and the lasso builder of each
-    component shown sat.  A builder only walks transitions its search
+    """A formula's components, split once from its :func:`_simplify`-ed
+    NNF, the propositions that pass fixed true, and the lasso builder of
+    each component shown sat.  A builder only walks transitions its search
     cached, so it charges nothing, even after its solver has been
     cancelled."""
 
     def __init__(self, formula: Formula) -> None:
         self.formula = formula
         self.sat: dict[int, Callable[[], LassoWord]] = {}
+        self.fixed_true: frozenset[str] = frozenset()
         self._lock = threading.Lock()
         self._components: list[Formula] | None = None
 
     def components(self) -> list[Formula]:
         with self._lock:  # the other solvers wait instead of splitting too
             if self._components is None:
-                self._components = _components(nnf(self.formula))
+                g, self.fixed_true = _simplify(nnf(self.formula))
+                self._components = _components(g)
         return self._components
 
 
@@ -394,9 +400,10 @@ def _by_component(
     For a component it shows sat, ``check`` returns a function that builds
     the component's lasso; otherwise None.  The first None ends the run with
     ``unanswered``: no later component can make the whole formula sat.  The
-    lassos are built, and merged, only once every component is sat.  In a
-    race the solvers share one :class:`_Split`, so none re-checks a
-    component another has shown sat.
+    lassos are built, and merged, only once every component is sat, and the
+    propositions the split fixed true are added to every state.  In a race
+    the solvers share one :class:`_Split`, so none re-checks a component
+    another has shown sat.
     """
     split = _RACE_SPLIT.get()
     if split is None or split.formula is not f:
@@ -411,7 +418,7 @@ def _by_component(
                     return unanswered
                 split.sat[i] = build
             builds.append(build)
-        return Verdict.sat(_merge_words([build() for build in builds]))
+        return Verdict.sat(_merge_words([build() for build in builds], split.fixed_true))
     except _Stop as stop:
         return Verdict("unknown", reason=stop.reason)
 
@@ -458,21 +465,98 @@ def _components(g: Formula) -> list[Formula]:
     return components
 
 
-def _merge_words(words: list[LassoWord]) -> LassoWord | None:
-    """Pointwise union of lassos over disjoint proposition sets."""
+def _simplify(g: Formula) -> tuple[Formula, frozenset[str]]:
+    """An equisatisfiable reduct of the NNF formula ``g``, and the
+    propositions it fixed true: a model of the reduct with those added to
+    every state is a model of ``g``.
+
+    Until nothing changes, each proposition that is pure (an NNF formula is
+    monotone in each literal: Davis and Putnam's rule) or that a top-level
+    conjunct ``false R l`` names in a literal ``l`` (a G-unit) is fixed to
+    that polarity, and the constants this leaves are folded.
+    """
+    fixed: dict[str, bool] = {}
+    while True:
+        pos: set[str] = set()
+        neg: set[str] = set()
+        walked: set[int] = set()  # ids of the compound nodes already walked
+        nodes = [g]
+        for h in nodes:
+            t = type(h)
+            if t is Prop:
+                pos.add(h.name)
+            elif t is Not:
+                neg.add(h.operand.name)
+            elif id(h) not in walked:
+                walked.add(id(h))
+                nodes += h.children()
+        new = {name: name in pos for name in pos ^ neg}
+        conjuncts = [g]
+        for h in conjuncts:
+            if type(h) is And:
+                conjuncts += h.left, h.right
+            elif type(h) is Release and type(h.left) is FalseConst:
+                if type(h.right) in (Prop, Not):  # of G p and G !p, the first wins
+                    (name,) = prop_names(h.right)
+                    new.setdefault(name, type(h.right) is Prop)
+        if not new:
+            return g, frozenset(name for name, value in fixed.items() if value)
+        fixed.update(new)
+        g = _fold(g, new, {})
+
+
+#: The left unit of each binary operator: true & b = false | b = false U b = true R b = b.
+_LEFT_UNIT = {And: TrueConst, Or: FalseConst, Until: FalseConst, Release: TrueConst}
+
+
+def _fold(g: Formula, value: dict[str, bool], memo: dict) -> Formula:
+    """``g`` with the propositions of ``value`` replaced by constants, and
+    constants and the idempotent ``a op a`` folded; once per distinct
+    subformula (``memo``)."""
+    t = type(g)
+    if t is Prop or t is Not:
+        v = value.get(g.name if t is Prop else g.operand.name)
+        return g if v is None else TRUE if v == (t is Prop) else FALSE
+    if t is TrueConst or t is FalseConst:
+        return g
+    h = memo.get(g)
+    if h is not None:
+        return h
+    if t is Next:
+        a = _fold(g.operand, value, memo)
+        h = a if type(a) in (TrueConst, FalseConst) else g if a is g.operand else Next(a)
+    else:
+        a, b = _fold(g.left, value, memo), _fold(g.right, value, memo)
+        ta, tb = type(a), type(b)
+        unit, boolean = _LEFT_UNIT[t], t is And or t is Or
+        if ta is unit or a == b:
+            h = b
+        elif tb is TrueConst or tb is FalseConst:  # a U c = a R c = c
+            h = a if boolean and tb is unit else b
+        elif boolean and (ta is TrueConst or ta is FalseConst):
+            h = a
+        else:
+            h = g if a is g.left and b is g.right else t(a, b)
+    memo[g] = h
+    return h
+
+
+def _merge_words(words: list[LassoWord], fixed: frozenset[str]) -> LassoWord | None:
+    """Pointwise union of lassos over disjoint proposition sets, with the
+    propositions ``fixed`` added to every state."""
     if not words:
         return None
-    if len(words) == 1:
+    if len(words) == 1 and not fixed:
         return words[0]
     prefix_len = max(len(w.prefix) for w in words)
     loop_len = lcm(*(len(w.loop) for w in words))
     if prefix_len + loop_len > _MERGE_CAP:
         return None
     prefix = tuple(
-        frozenset().union(*(w.state_at(k) for w in words)) for k in range(prefix_len)
+        fixed.union(*(w.state_at(k) for w in words)) for k in range(prefix_len)
     )
     loop = tuple(
-        frozenset().union(*(w.state_at(prefix_len + k) for w in words))
+        fixed.union(*(w.state_at(prefix_len + k) for w in words))
         for k in range(loop_len)
     )
     return LassoWord(prefix, loop)

@@ -32,18 +32,25 @@ requires_proc = pytest.mark.skipif(not (PROC / "self").exists(), reason="needs /
 #: checkout, ``site-packages`` when installed).
 POLSAT_PATH = str(Path(polsat.__file__).resolve().parent.parent)
 
-#: A 16-conjunct pattern formula that no internal solver decided in a 2 s
-#: race: ``tableau`` and ``lasso`` each stay undecided for over 20 s, and
+
+def binary_counter(bits: int) -> str:
+    """A ``bits``-bit binary counter that starts at zero, counts up by one at
+    every step and may never reach all ones: unsat, with every proposition
+    in both polarities and no ``G`` of a literal, so the split's
+    simplification pass fixes nothing and the tableau has to count."""
+    c = [f"c{i}" for i in range(bits)]
+    parts = [f"!{x}" for x in c] + [f"G ({c[0]} <-> X !{c[0]})"]
+    for i in range(1, bits):  # bit i flips exactly when the bits below are all one
+        parts.append(f"G (({c[i]} <-> X {c[i]}) <-> !({' & '.join(c[:i])}))")
+    parts.append(f"G !({' & '.join(c)})")
+    return " & ".join(parts)
+
+
+#: A formula no internal solver decided in a 2 s race: ``tableau`` and
+#: ``lasso`` each stay undecided for over 30 s (the 10-bit counter takes
+#: ``tableau`` about 6 s, and each bit multiplies that by about five), and
 #: ``shortcut`` gives up within milliseconds.
-UNDECIDED = (
-    "((((((((((((((((p0 U p0) & (G (p1 -> (G (! p1))))) & (p0 U p1))"
-    " & (p0 U p2)) & (F (G p3))) & (G (p4 -> (F p5)))) & (F (G p3)))"
-    " & (F p0)) & (G (p1 -> (G (! p5))))) & (G (p6 -> (F (p5 & (X (F p6)))))))"
-    " & (G (p7 -> (F (p3 & (X (F p8)))))))"
-    " & ((F (p9 & (X (F p10)))) -> (((! p9) U p0) | (G (! p9)))))"
-    " & (G (! p10))) & (G (! p11))) & (F (G p6)))"
-    " & (G (p11 -> (F (p3 & (X (F p10)))))))"
-)
+UNDECIDED = binary_counter(12)
 
 UNARY = (Not, Next, Globally, Finally)
 BINARY = (And, Or, Implies, Iff, Until, Release)

@@ -9,9 +9,10 @@ from polsat import cli
 from polsat.bench import run_file
 from polsat.cli import main
 from polsat.external import ENV_REGISTRY, register
-from polsat.portfolio import run_all
+from polsat.engine import Verdict
+from polsat.portfolio import RunRecord, SolverSpec, run_all
 from polsat.formulas import parse
-from polsat.lasso import evaluate, parse_evidence
+from polsat.lasso import LassoWord, evaluate, parse_evidence
 
 from conftest import UNDECIDED, child_env, sh_stub
 
@@ -114,6 +115,20 @@ class TestSeparateMode:
         for line in out:
             if ":" not in line:
                 assert evaluate(parse_evidence(line), parse("a U b"))
+
+    def test_disagreement_is_reported(self, capsys, monkeypatch):
+        def stub(name, verdict):
+            return SolverSpec(name, "external", lambda *_: RunRecord(name, verdict, 0.0))
+
+        never_b = LassoWord((), (frozenset(),))  # b never holds, so a U b fails
+        solvers = [stub("yes", Verdict.sat(never_b)), stub("no", Verdict.unsat())]
+        monkeypatch.setattr(cli, "_solver_set", lambda: solvers)
+        code, out, _ = run_cli(capsys, "-s", "-e", "a U b")
+        assert code == 0
+        assert out[:2] == ["yes: sat\t0s", "no: unsat\t0s"]
+        assert out[2:] == [
+            "disagreement: sat from yes; unsat from no; invalid evidence from yes"
+        ]
 
 
 class TestBatchMode:

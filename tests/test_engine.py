@@ -8,6 +8,7 @@ from polsat.engine import (
     Budget,
     _components,
     _lasso_component,
+    _simplify,
     _tableau_component,
     run_strategy,
     tableau_check,
@@ -99,8 +100,12 @@ class TestTableau:
     def test_dense_graph_answers_within_its_deadline(self):
         # 4,096 nodes share one X-label, so the search walks one state
         # whose transitions its expansion, which polls the deadline, built.
+        # Each p_i and q_i occurs in both polarities, so no proposition is
+        # pure and the split's simplification leaves the formula as it is.
         f = parse(
-            "G (!a & " + " & ".join(f"(p{i} | q{i})" for i in range(12)) + ") & G F a"
+            "G (!a & "
+            + " & ".join(f"(p{i} | q{i}) & (!p{i} | !q{i})" for i in range(12))
+            + ") & G F a"
         )
         start = time.monotonic()
         v = run_strategy("tableau", f, Budget(max_nodes=None, deadline=start + 0.5))
@@ -124,10 +129,11 @@ class TestTableau:
         # {b0, ..., b7}, each with transitions to all 256: after they are
         # expanded, ``lasso``'s deepening passes walk cached states for many
         # seconds, and only the charge per visited state polls the cancel
-        # event.
+        # event.  The literals at the first position put every a_i and b_i
+        # in both polarities, so the split's simplification fixes none.
         dense = parse(
-            "G F (d & c) & G !d & "
-            + " & ".join(f"G ((a{i} & c) -> X b{i})" for i in range(8))
+            "G F (d & c) & G (c -> !d) & "
+            + " & ".join(f"a{i} & !b{i} & G ((a{i} & c) -> X b{i})" for i in range(8))
         )
         cases = [
             ("tableau", tower, 0.05),
@@ -229,6 +235,47 @@ class TestComponentMerging:
                 assert evaluate(verdict.evidence, f)
 
 
+class TestSimplify:
+    def test_verdicts_match_the_unsimplified_check(self):
+        # tableau_check goes through the split's simplification; the
+        # component check on the plain NNF does not.
+        rng = random.Random(2_013)
+        compared = 0
+        for _ in range(2_500):
+            f = random_formula(rng, rng.randint(3, 18), ("p", "q", "r"))
+            verdict = tableau_check(f, Budget(max_nodes=200_000))
+            try:
+                plain = _tableau_component(nnf(f), Budget(max_nodes=200_000))
+            except engine._Stop:
+                continue
+            if not verdict.is_definitive:
+                continue
+            compared += 1
+            assert verdict.is_sat == (plain is not None), f
+            if verdict.is_sat:
+                assert evaluate(verdict.evidence, f), f
+        assert compared > 2_400
+
+    def test_opposite_g_units_are_unsat(self):
+        assert _simplify(nnf(parse("G p & G !p")))[0] == FALSE
+        assert tableau_check(parse("G p & G !p")).is_unsat
+
+    def test_fixed_propositions_hold_in_every_state(self):
+        # r is a G-unit and s is pure; p keeps both polarities, so the
+        # lasso has a prefix.
+        f = parse("G r & F s & X X (p & X !p)")
+        assert _simplify(nnf(f))[1] == {"r", "s"}
+        for name in ("tableau", "lasso"):
+            evidence = run_strategy(name, f, Budget()).evidence
+            assert evidence.prefix
+            for state in evidence.prefix + evidence.loop:
+                assert {"r", "s"} <= state, name
+            assert evaluate(evidence, f)
+
+    def test_o1_folds_to_false(self):
+        assert _simplify(nnf(gen_O1(300)))[0] == FALSE
+
+
 class TestVectorOracle:
     def test_matches_plain_evaluator(self):
         # The bitset oracle and the per-lasso evaluator implement the same
@@ -315,15 +362,16 @@ class TestSatShortcut:
     def test_family_cap_gives_up(self):
         assert shortcut(gen_O1(100)) is None
         # One component (every conjunct mentions p) whose product family
-        # outgrows the cap, though {p} alone would be a model.
-        f = parse(" & ".join(f"(p | a{i})" for i in range(1, 14)))
+        # outgrows the cap, though {p} alone would be a model.  Every
+        # proposition occurs in both polarities, so none is fixed first.
+        f = parse(" & ".join(f"(p | a{i}) & (!p | !a{i})" for i in range(1, 14)))
         assert tableau_check(f).is_sat
         assert shortcut(f) is None
 
     def test_split_families_add_up(self):
-        # Twenty variable-disjoint choices: a product family of 2^20 sets,
-        # but twenty families of two, one component at a time.
-        f = parse(" & ".join(f"(a{i} | b{i})" for i in range(1, 21)))
+        # Twenty variable-disjoint choices: a product family of 4^20 sets,
+        # but twenty families of four, one component at a time.
+        f = parse(" & ".join(f"(a{i} | b{i}) & (!a{i} | !b{i})" for i in range(1, 21)))
         verdict = run_strategy("shortcut", f, Budget())
         assert verdict.is_sat and evaluate(verdict.evidence, f)
 
@@ -364,7 +412,9 @@ class TestEngineAgreement:
         assert no_win.kind == "unknown" and no_win.reason == "incomplete"
         gave_up = run_strategy("lasso", parse("p & !p"), Budget())
         assert gave_up.kind == "unknown" and gave_up.reason == "incomplete"
-        f = parse("(a | b) & (c | d) & (e | f) & G (a -> X !a) & F g & G !g")
+        # Three components, each with both polarities of its propositions:
+        # the third candidate is one past the budget.
+        f = parse("(a | !b) & (!a | b) & (c | !d) & (!c | d) & (e | !f) & (!e | f)")
         out_of_nodes = run_strategy("shortcut", f, Budget(max_nodes=2))
         assert out_of_nodes.kind == "unknown" and out_of_nodes.reason == "timeout"
 
@@ -385,12 +435,18 @@ class TestEngineAgreement:
         assert built == _components(nnf(f))
 
     def test_sat_only_solvers_give_up_at_the_unsat_component(self):
-        # gen_O1's last component, G c & X !c, has no lasso; the sat-only
-        # solvers stop there instead of searching the 2^300-branch product.
+        # The last component, c & G (c -> X c) & F !c, has no lasso; the
+        # sat-only solvers stop there instead of searching the 4^300-branch
+        # product.  Every proposition occurs in both polarities, so the
+        # split's simplification leaves all 301 components.
+        f = parse(
+            " & ".join(f"(a{i} | b{i}) & (!a{i} | !b{i})" for i in range(1, 301))
+            + " & c & G (c -> X c) & F !c"
+        )
         for name in ("lasso", "shortcut"):
             budget = Budget(max_nodes=None, deadline=time.monotonic() + 5.0)
             start = time.monotonic()
-            verdict = run_strategy(name, gen_O1(300), budget)
+            verdict = run_strategy(name, f, budget)
             assert verdict.kind == "unknown" and verdict.reason == "incomplete"
             assert time.monotonic() - start < 1.0
 

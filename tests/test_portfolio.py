@@ -47,8 +47,11 @@ def scripted_solver(name, verdict, delay):
 
 
 #: 22 variable-disjoint sat components.
+#: 22 variable-disjoint components, each with both polarities of its
+#: propositions, so the split's simplification leaves them all.
 SPLIT = " & ".join(
-    [f"(a{i} | b{i})" for i in range(1, 21)] + ["G F c", "F G !d"]
+    [f"(a{i} | b{i}) & (!a{i} | !b{i})" for i in range(1, 21)]
+    + ["G F c", "(!c | X c)", "F G !d", "(d | X !d)"]
 )
 
 
