@@ -29,7 +29,11 @@ the components another of them has shown sat.
 
 Expansion rules: ``a U b`` expands to ``b | (a & X(a U b))``, ``a R b`` to
 ``b & (a | X(a R b))``; And/Or saturate; a node's X-label, the state it
-passes on, is the set of operands of its X-formulas.
+passes on, is the set of operands of its X-formulas.  The formulas that
+never branch (literals, X, And, G) are expanded before those that may (Or,
+U, R).  A branch is skipped when a literal of the node already makes its
+formula true, and its second alternative carries the complement of the
+first alternative's literal (semantic branching).
 """
 
 from __future__ import annotations
@@ -201,55 +205,62 @@ class _Tableau:
     on its X-label.  Formulas are encoded as dense integer ranks (closure
     order) and formula sets (nodes, states) as int bitmasks over those
     ranks, so the hot set operations are integer operations.  All iteration
-    orders are pinned (formulas by rank, branches left-first, transitions
-    by completion), which makes verdicts and evidence deterministic for a
-    fixed formula and budget.
+    orders are pinned (formulas that never branch first, each kind by rank;
+    branches left-first; transitions by completion), which makes verdicts
+    and evidence deterministic for a fixed formula and budget.
     """
 
     def __init__(self, root: Formula, budget: Budget) -> None:
         self.budget = budget
         order = closure(root)
         rank = {g: r for r, g in enumerate(order)}
-        kind: list[int] = []
-        arg1: list[int] = []  # operand / left (the proposition, for a negation)
-        arg2: list[int] = []  # right
+        n = len(order)
+        kind = [0] * n
+        arg1 = [-1] * n  # operand / left (the proposition, for a negation)
+        arg2 = [-1] * n  # right
+        clash = [0] * n  # bit of the complementary literal, if any
+        holds = [0] * n  # the bits of which any in a node makes the formula hold there
         props: list[tuple[int, str]] = []  # (bit, name) per proposition
-        for r, g in enumerate(order):
+        true_bit = branching = 0  # branching: Ors, Us and Rs whose left is not false
+        untils: list[tuple[int, int, int]] = []  # (Until bit, right rank, mark bit)
+        late = []  # the Ors whose ``holds`` the loop built from an unfinished operand
+        for r in reversed(range(n)):  # operands mostly come after their formula
+            g = order[r]
             t = type(g)
-            k = _KIND_OF.get(t)
+            k = kind[r] = _KIND_OF.get(t)
             if k is None or (t is Not and type(g.operand) is not Prop):
                 raise TypeError(f"formula not in negation normal form: {g!r}")
-            kind.append(k)
+            holds[r] = 1 << r
             if k >= _K_AND:
-                arg1.append(rank[g.left])
-                arg2.append(rank[g.right])
-            else:
-                arg1.append(rank[g.operand] if k == _K_NEXT or t is Not else -1)
-                arg2.append(-1)
-                if t is Prop:
-                    props.append((1 << r, g.name))
-
-        clash = [0] * len(kind)  # bit of the complementary literal, if any
-        true_bit = 0
-        # Acceptance obligations as (Until bit, right-side bit, mark bit).  An
-        # Until whose right side is ``true`` is fulfilled at every position
-        # (and True never appears in node sets, so it could not be marked),
-        # hence it imposes no obligation.
-        untils: list[tuple[int, int, int]] = []
-        for r, k in enumerate(kind):
-            if k == _K_LIT and arg1[r] >= 0:
-                clash[r] = 1 << arg1[r]
-                clash[arg1[r]] = 1 << r
+                a = arg1[r] = rank[g.left]
+                b = arg2[r] = rank[g.right]
+                if k >= _K_OR and type(g.left) is not FalseConst:
+                    branching |= 1 << r
+                if k == _K_OR:
+                    holds[r] |= holds[a] | holds[b]
+                    if a < r or b < r:
+                        late.append(r)
+                elif k == _K_UNTIL:
+                    untils.append((1 << r, b, 1 << len(untils)))
+            elif k == _K_NEXT:
+                arg1[r] = rank[g.operand]
+            elif t is Not:
+                a = arg1[r] = rank[g.operand]
+                clash[r], clash[a] = 1 << a, 1 << r
+            elif t is Prop:
+                props.append((1 << r, g.name))
             elif k == _K_TRUE:
-                true_bit = 1 << r
-            elif k == _K_UNTIL and kind[arg2[r]] != _K_TRUE:
-                untils.append((1 << r, 1 << arg2[r], 1 << len(untils)))
+                true_bit, holds[r] = 1 << r, -1  # every node makes true hold
+        for r in reversed(late):
+            holds[r] |= holds[arg1[r]] | holds[arg2[r]]
 
         self._kind = kind
         self._arg1 = arg1
         self._arg2 = arg2
         self._clash = clash
         self._true_bit = true_bit
+        self._sure = ~branching
+        self._holds = holds
         self._untils = tuple(untils)
         self._props = tuple(props)
         # A transition's mark has bit i set when its node does not owe
@@ -267,7 +278,7 @@ class _Tableau:
         if cached is not None:
             return cached
         kind, arg1, arg2 = self._kind, self._arg1, self._arg2
-        clash, true_bit = self._clash, self._true_bit
+        clash, true_bit, sure, holds = self._clash, self._true_bit, self._sure, self._holds
         untils, full = self._untils, self.full_mark
         budget = self.budget
         steps, batch = 0, budget._batch()
@@ -286,11 +297,12 @@ class _Tableau:
                 if not todo:
                     mark = full
                     for u, r, m in untils:
-                        if done & u and not done & r:
+                        if done & u and not done & holds[r]:
                             mark ^= m
                     out.setdefault((label, mark), (label, mark, done))
                     break
-                bit = todo & -todo  # lowest rank first
+                pick = todo & sure or todo  # sure formulas first, then by rank
+                bit = pick & -pick
                 todo ^= bit
                 g = bit.bit_length() - 1
                 k = kind[g]
@@ -307,30 +319,30 @@ class _Tableau:
                 elif k == _K_OR:
                     done |= bit
                     a, b = arg1[g], arg2[g]
-                    if ((1 << a) | (1 << b)) & (done | true_bit):
+                    if done & (holds[a] | holds[b]):
                         continue
                     if kind[a] == _K_FALSE or done & clash[a]:
                         todo |= 1 << b
                     elif kind[b] == _K_FALSE or done & clash[b]:
                         todo |= 1 << a
                     else:
-                        stack.append((done, todo | 1 << b, label))  # explored second
+                        stack.append((done | clash[a], todo | 1 << b, label))  # explored second
                         todo |= 1 << a
                 elif k == _K_UNTIL:
                     done |= bit
-                    if not done & 1 << arg2[g]:
+                    if not done & holds[arg2[g]]:
                         # delay (explored second) or fulfil now
                         delay = todo | 1 << arg1[g] & ~true_bit
-                        stack.append((done, delay, label | bit))
+                        stack.append((done | clash[arg2[g]], delay, label | bit))
                         todo |= 1 << arg2[g] & ~true_bit
                 elif k == _K_RELEASE:
                     done |= bit
                     todo |= 1 << arg2[g] & ~(done | true_bit)
                     if kind[arg1[g]] == _K_FALSE:  # G: never released
                         label |= bit
-                    elif not (done & 1 << arg1[g] or label & bit):
+                    elif not (done & holds[arg1[g]] or label & bit):
                         # keep releasing (explored second) or release now
-                        stack.append((done, todo, label | bit))
+                        stack.append((done | clash[arg1[g]], todo, label | bit))
                         todo |= 1 << arg1[g] & ~true_bit
                 elif k == _K_FALSE:
                     break

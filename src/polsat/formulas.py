@@ -24,6 +24,13 @@ from typing import NoReturn
 if sys.getrecursionlimit() < 10_000:
     sys.setrecursionlimit(10_000)
 
+#: The most operators :func:`parse` accepts on one path from a formula's root
+#: to a leaf.  The passes that recurse on a formula (parsing its fully
+#: parenthesized rendering, nnf, the solvers' pre-pass, render, evaluate)
+#: take at most four frames per level, so this depth stays inside the limit
+#: above, in a solver thread too.
+_MAX_DEPTH = 2_000
+
 __all__ = [
     "Formula",
     "TrueConst",
@@ -391,9 +398,28 @@ def parse(text: str) -> Formula:
     """Parse ``text`` into a formula, accepting all operator spellings.
 
     Raises :class:`ParseError` (with a 1-based character position) on bad
-    syntax; reserved words cannot be used as propositions.
+    syntax, and on a formula nested deeper than ``_MAX_DEPTH`` (2,000)
+    operators or parenthesized too deeply for the parser's own recursion;
+    reserved words cannot be used as propositions.
     """
-    return _Parser(_tokenize(text)).parse()
+    tokens = _tokenize(text)
+    try:
+        f = _Parser(tokens).parse()
+    except RecursionError:
+        f = None
+    # A formula is never deeper than its token count.
+    if f is None or (len(tokens) > _MAX_DEPTH and _depth(f) > _MAX_DEPTH):
+        raise ParseError(f"formula nested deeper than {_MAX_DEPTH} levels", 1)
+    return f
+
+
+def _depth(f: Formula) -> int:
+    """The most operators on one path from ``f``'s root to a leaf."""
+    level, depth = [f], -1
+    while level:
+        level = [h for g in level for h in g.children()]
+        depth += 1
+    return depth
 
 
 # ---------------------------------------------------------------------------

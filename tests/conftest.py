@@ -46,11 +46,12 @@ def binary_counter(bits: int) -> str:
     return " & ".join(parts)
 
 
-#: A formula no internal solver decided in a 2 s race: ``tableau`` and
-#: ``lasso`` each stay undecided for over 30 s (the 10-bit counter takes
-#: ``tableau`` about 6 s, and each bit multiplies that by about five), and
-#: ``shortcut`` gives up within milliseconds.
-UNDECIDED = binary_counter(12)
+#: A formula no internal solver decides in a 2 s race: alone, ``tableau``
+#: takes 33 s (29 M charges) to show it unsat on a 2-vCPU host, ``lasso``
+#: longer (the 12-bit counter takes them 1.1 s and 40+ s, and each bit
+#: multiplies ``tableau``'s time by about 2.3), and ``shortcut`` gives up
+#: within milliseconds.
+UNDECIDED = binary_counter(16)
 
 UNARY = (Not, Next, Globally, Finally)
 BINARY = (And, Or, Implies, Iff, Until, Release)

@@ -112,6 +112,12 @@ class TestRunFile:
         for line in data_lines[:3]:
             assert LINE_RE.match(line), line
 
+    def test_too_deeply_nested_line_is_an_error(self, tmp_path):
+        src = tmp_path / "formulas.txt"
+        src.write_text("a U b\n" + "(" * 4_000 + "a" + ")" * 4_000 + "\np & !p\n")
+        report = run_file(src, internal_solvers(), timeout=5.0, out_path=tmp_path / "out.txt")
+        assert [o.verdict for o in report.outcomes] == ["sat", "error", "unsat"]
+
     def test_empty_file(self, tmp_path):
         src = tmp_path / "empty.txt"
         src.write_text("")

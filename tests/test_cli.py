@@ -64,6 +64,9 @@ class TestOneShot:
         code, out, err = run_cli(capsys, "a U )")
         assert code == 1
         assert "position" in err
+        code, out, err = run_cli(capsys, "(" * 4_000 + "a" + ")" * 4_000)
+        assert code == 1
+        assert "nested deeper" in err
 
     def test_all_timeout_exits_two(self, capsys):
         # No internal solver decides UNDECIDED within a tiny timeout, so the

@@ -16,7 +16,7 @@ from polsat.engine import (
 from polsat.formulas import FALSE, TRUE, And, Iff, Prop, nnf, parse
 from polsat.lasso import evaluate, print_evidence
 
-from conftest import UNDECIDED, child_env, fixture_text, random_formula
+from conftest import UNDECIDED, binary_counter, child_env, fixture_text, random_formula
 from oracle import VectorOracle, stream_formulas
 
 
@@ -84,14 +84,46 @@ class TestTableau:
         assert len(outputs) == 1
 
     def test_lift_decided_before_its_sccs_complete(self):
-        # Testing acceptance only on complete SCCs takes about 2.2 M charges.
-        f = parse(fixture_text("lift.ltl"))
+        # lift alone is decided in 662 charges and its whole graph costs
+        # 22,204, so a 3-bit counter that steps on ``s & u`` and may wrap
+        # joins its states into larger SCCs: testing acceptance only on
+        # complete SCCs then takes about 0.75 M charges, against 2,620.
+        counter = [
+            "G ((s & u) -> (c0 <-> X !c0))",
+            "G ((s & u) -> ((c1 <-> X c1) <-> !c0))",
+            "G ((s & u) -> ((c2 <-> X c2) <-> !(c0 & c1)))",
+        ] + [f"G (!(s & u) -> (c{i} <-> X c{i}))" for i in range(3)]
+        f = parse(f"({fixture_text('lift.ltl')}) & " + " & ".join(counter))
         v = tableau_check(f, Budget(max_nodes=100_000))
         assert v.is_sat and evaluate(v.evidence, f)
 
+    def test_branch_search_charges(self):
+        # Sure formulas first, semantic branching and no branch on a formula
+        # a literal of the node already makes true: the branch search
+        # without them took 15,708 charges on lift and 585 on counter.
+        for name, bound in (("lift.ltl", 1_000), ("counter.ltl", 200)):
+            budget = Budget(max_nodes=None)
+            assert run_strategy("tableau", parse(fixture_text(name)), budget).is_sat
+            assert budget.nodes <= bound, name
+
+    def test_second_alternatives_keep_their_models(self):
+        # Each formula's models all take, at the first position, the second
+        # alternative of a branch whose first one is a literal: the right
+        # operand of an Or, the delay of an Until, the keep-releasing of a
+        # Release.  That branch carries the complement of that literal only.
+        for text in (
+            "(p | q) & (!p | r) & !r & F !q",
+            "(p U q) & !q & F !p",
+            "!p & (p R q) & F !q",
+        ):
+            f = parse(text)
+            v = tableau_check(f)
+            assert v.is_sat and evaluate(v.evidence, f), text
+
     def test_node_budget_stops_at_the_step_that_exceeds_it(self):
-        # Expansion charges in batches, never past max_nodes + 1.
-        f = parse(fixture_text("lift.ltl"))
+        # Expansion charges in batches, never past max_nodes + 1.  The
+        # 8-bit counter takes 36,117 charges.
+        f = parse(binary_counter(8))
         for n in (1, 255, 256, 257, 1000):
             budget = Budget(max_nodes=n)
             assert tableau_check(f, budget).is_timeout
@@ -118,15 +150,16 @@ class TestTableau:
         assert v.kind == "unknown" and v.reason == "timeout"
 
     def test_cancellation_is_prompt(self):
-        # A deeply nested iff tower makes the expansion slog (hundreds of
-        # millions of charges, so it cannot finish first); cancellation must
-        # cut it off almost immediately.
+        # A deeply nested iff tower makes the expansion slog (alone,
+        # ``tableau`` is still undecided after a minute and 50 M charges, so
+        # it cannot finish first); cancellation must cut it off almost
+        # immediately.
         tower = Prop("a")
         rng = random.Random(3)
         for _ in range(12):
             tower = Iff(tower, random_formula(rng, 9, ("a", "b", "c")))
         # Past the root, the dense formula has one state per subset of
-        # {b0, ..., b7}, each with transitions to all 256: after they are
+        # {b0, ..., b7}, all but one with transitions to all 256: after they are
         # expanded, ``lasso``'s deepening passes walk cached states for many
         # seconds, and only the charge per visited state polls the cancel
         # event.  The literals at the first position put every a_i and b_i

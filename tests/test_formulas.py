@@ -3,6 +3,7 @@ import random
 import pytest
 
 from polsat.formulas import (
+    _MAX_DEPTH,
     ALTERNATE_DIALECT,
     DEFAULT_DIALECT,
     FALSE,
@@ -110,6 +111,18 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert err.value.position == position
+
+    def test_nesting_past_the_limit_is_a_parse_error(self):
+        # One operator past the limit, or parentheses past the parser's own
+        # recursion, is a ParseError rather than a RecursionError.
+        for text in (
+            "X " * (_MAX_DEPTH + 1) + "a",
+            "a & " * (_MAX_DEPTH + 1) + "a",
+            "(" * 4_000 + "a" + ")" * 4_000,
+            "!" * 10_000 + "a",
+        ):
+            with pytest.raises(ParseError, match="nested deeper"):
+                parse(text)
 
     def test_reserved_word_is_not_a_proposition(self):
         with pytest.raises(ParseError, match="reserved word"):

@@ -1,4 +1,5 @@
 import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from polsat import engine
 from polsat.bench import gen_O1
 from polsat.engine import Budget, Verdict, run_strategy
 from polsat.external import ExternalSolverSpec, as_solver_spec
-from polsat.formulas import parse
+from polsat.formulas import _MAX_DEPTH, parse, render
 from polsat.lasso import LassoWord, evaluate
 from polsat.portfolio import (
     RunRecord,
@@ -216,6 +217,32 @@ class TestRace:
         result = race(parse("p & !p"), [unsat_stub], 5.0)
         assert result.winner == "sayno"
         assert result.verdict.is_unsat
+
+    def test_formulas_at_the_nesting_limit_are_decided_in_threads(self):
+        # Every pass that recurses on a formula (nnf, the pre-pass, the
+        # solvers, evaluate, render and parsing the rendering) handles the
+        # deepest formula parse accepts, off the main thread.
+        results = {}
+
+        def run():
+            for text in (
+                "X " * (_MAX_DEPTH - 2) + "(a & !a)",
+                "X " * (_MAX_DEPTH - 3) + "(a & X !a)",
+            ):
+                f = parse(text)
+                result = race(f, internal_solvers(), 60.0, want_evidence=True)
+                results[text] = result, parse(render(f)) == f
+
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(120.0)
+        assert not worker.is_alive()
+        (unsat, unsat_roundtrip), (sat, sat_roundtrip) = results.values()
+        assert unsat.verdict.is_unsat and sat.verdict.is_sat
+        assert sat.verdict.evidence is not None
+        assert unsat_roundtrip and sat_roundtrip
+        for result in (unsat, sat):
+            assert all(r.verdict.reason != "solver-error" for r in result.records)
 
 
 class TestRunAll:
