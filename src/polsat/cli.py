@@ -23,6 +23,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from . import bench
 from .engine import Verdict
@@ -154,8 +155,10 @@ def _batch(args: argparse.Namespace) -> int:
         report = bench.run_file(
             args.batch_file, _solver_set(), timeout=args.timeout, mode="separate"
         )
-    except OSError as exc:
-        print(f"cannot read {args.batch_file}: {exc}", file=sys.stderr)
+    except OSError as exc:  # reading FILE or writing the report
+        path = args.batch_file if exc.filename is None else exc.filename
+        action = "read" if Path(path) == Path(args.batch_file) else "write"
+        print(f"cannot {action} {path}: {exc}", file=sys.stderr)
         return 1
     for line in report.summary_lines():
         print(line)

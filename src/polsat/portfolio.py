@@ -1,10 +1,11 @@
 """Race solvers on one formula; first definitive verdict wins.
 
-One worker per configured solver.  The first Sat/Unsat answer decides the
-result and every other worker is cancelled (internal solvers via a flag,
-external processes via terminate-then-kill).  ``run_all`` instead lets every
-solver finish and :func:`arbitrate` checks the answers for consistency,
-which is what makes the portfolio usable as a solver-testing platform.
+Every configured solver runs on its own thread.  The first Sat/Unsat
+answer decides the result and every other solver is cancelled (internal
+solvers via a flag, external processes via terminate-then-kill).
+``run_all`` instead lets every solver finish and :func:`arbitrate` checks
+the answers for consistency, which is what makes the portfolio usable as a
+solver-testing platform.
 
 In a race the internal solvers split the formula once and share which
 components they have shown sat; in ``run_all`` every solver works alone.
@@ -13,10 +14,13 @@ Both start solvers through one launcher.  It names every record after its
 :class:`SolverSpec`, turns a solver that raises into an Unknown(solver-error)
 record, and applies one accounting rule: a timed-out run costs exactly the
 timeout, and any other run costs at most the timeout plus ``GRACE_SECONDS``.
+Solver threads are reused across races; a new one starts only when none is
+idle, and one idle for ``GRACE_SECONDS`` exits.
 """
 
 from __future__ import annotations
 
+import contextvars
 import logging
 import math
 import queue
@@ -125,6 +129,42 @@ def _validated(record: RunRecord, formula: Formula) -> RunRecord:
     return record
 
 
+#: Inboxes of the solver threads waiting for a run, the latest idle last.
+_idle: list[queue.SimpleQueue] = []
+_idle_lock = threading.Lock()
+
+
+def _submit(name: str, run: Callable[..., None], *args: object) -> None:
+    """Hand ``run(*args)`` to an idle solver thread, or else to a new one: a
+    run never waits behind a busy thread, such as a cancelled solver's."""
+    with _idle_lock:
+        inbox = _idle.pop() if _idle else None
+    if inbox is None:
+        inbox = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(inbox,), daemon=True, name=f"polsat-{name}").start()
+    inbox.put((name, run, args))
+
+
+def _serve(inbox: queue.SimpleQueue) -> None:
+    """Do the runs that arrive in ``inbox``, each in a fresh context so that it
+    drops its ``_RACE_SPLIT``; exit after ``GRACE_SECONDS`` without one."""
+    while True:
+        try:
+            name, run, args = inbox.get(timeout=GRACE_SECONDS)
+        except queue.Empty:
+            with _idle_lock:
+                if inbox in _idle:  # otherwise a run is on its way
+                    _idle.remove(inbox)
+                    return
+            name, run, args = inbox.get()
+        threading.current_thread().name = f"polsat-{name}"
+        contextvars.Context().run(run, *args)
+        threading.current_thread().name = "polsat (idle)"
+        run = args = None  # keep nothing of the finished race alive
+        with _idle_lock:
+            _idle.append(inbox)
+
+
 def _launch(
     formula: Formula,
     solvers: list[SolverSpec],
@@ -132,7 +172,7 @@ def _launch(
     cancels: list[threading.Event],
     split: _Split | None = None,
 ) -> Iterator[tuple[int, RunRecord]]:
-    """Start one daemon thread per solver and yield ``(index, record)``.
+    """Run each solver on a solver thread and yield ``(index, record)``.
 
     Nothing starts before the first record is asked for.  Every record is
     named after its :class:`SolverSpec`; a ``run`` that raises becomes
@@ -149,10 +189,10 @@ def _launch(
     if not 0 < timeout < math.inf:  # a nan deadline never expires; inf overflows queue.get
         raise ValueError(f"timeout must be a positive finite number, not {timeout!r}")
     give_up = time.monotonic() + timeout + 2 * GRACE_SECONDS
-    results: "queue.Queue[tuple[int, RunRecord]]" = queue.Queue()
+    results: "queue.SimpleQueue[tuple[int, RunRecord]]" = queue.SimpleQueue()
 
     def worker(i: int, spec: SolverSpec) -> None:
-        _RACE_SPLIT.set(split)  # seen by run_strategy in this thread only
+        _RACE_SPLIT.set(split)  # seen by run_strategy in this run only
         start = time.monotonic()
         try:
             record = spec.run(formula, timeout, cancels[i])
@@ -166,9 +206,7 @@ def _launch(
         results.put((i, RunRecord(spec.name, verdict, min(elapsed, timeout + GRACE_SECONDS))))
 
     for i, spec in enumerate(solvers):
-        threading.Thread(
-            target=worker, args=(i, spec), daemon=True, name=f"polsat-{spec.name}"
-        ).start()
+        _submit(spec.name, worker, i, spec)
     pending = len(solvers)
     while pending:
         try:

@@ -158,6 +158,17 @@ class TestBatchMode:
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "-sm", str(tmp_path / "nope.txt"))
         assert code == 1
+        assert err.startswith(f"cannot read {tmp_path / 'nope.txt'}: ")
+
+    def test_unwritable_report_names_the_report(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.ltl").write_text("a U b\n")
+        (tmp_path / "output.txt").mkdir()
+        code, out, err = run_cli(capsys, "-sm", "in.ltl", "--timeout", "5")
+        assert code == 1
+        assert out == []
+        assert err.startswith("cannot write output.txt: ")
+        assert "in.ltl" not in err
 
     def test_formula_argument_conflicts(self, capsys, tmp_path):
         src = tmp_path / "f.txt"

@@ -1,17 +1,20 @@
+import gc
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import pytest
 
-from polsat import engine
+from polsat import engine, portfolio
 from polsat.bench import gen_O1
 from polsat.engine import Budget, Verdict, run_strategy
 from polsat.external import ExternalSolverSpec, as_solver_spec
 from polsat.formulas import _MAX_DEPTH, parse, render
 from polsat.lasso import LassoWord, evaluate
 from polsat.portfolio import (
+    GRACE_SECONDS,
     RunRecord,
     SolverSpec,
     arbitrate,
@@ -243,6 +246,109 @@ class TestRace:
         assert unsat_roundtrip and sat_roundtrip
         for result in (unsat, sat):
             assert all(r.verdict.reason != "solver-error" for r in result.records)
+
+
+class TestSolverThreads:
+    def test_threads_are_reused_then_exit(self):
+        f = parse("a U b")
+        used, names, ended = set(), set(), [0.0]
+
+        def recorded(spec):
+            def run(formula, timeout, cancel):
+                used.add(threading.get_ident())
+                names.add(threading.current_thread().name)
+                try:
+                    return spec.run(formula, timeout, cancel)
+                finally:
+                    ended[0] = max(ended[0], time.monotonic())
+
+            return replace(spec, run=run)
+
+        solvers = [recorded(spec) for spec in internal_solvers()]
+        for _ in range(20):
+            assert race(f, solvers, 10.0).verdict.is_sat
+        # A thread per solver per race would be 60.  Cancelled solvers still
+        # winding down when the next race starts keep a few more in the pool.
+        assert len(used) <= 15
+        assert names == {"polsat-tableau", "polsat-lasso", "polsat-shortcut"}
+
+        def alive():
+            return used & {t.ident for t in threading.enumerate()}
+
+        while alive() and time.monotonic() < ended[0] + GRACE_SECONDS + 0.5:
+            time.sleep(0.02)
+        assert not alive()
+
+    def test_finished_race_split_is_freed(self, monkeypatch):
+        splits = []
+
+        class TrackedSplit(engine._Split):
+            def __init__(self, formula):
+                super().__init__(formula)
+                splits.append(weakref.ref(self))
+
+        returned = threading.Semaphore(0)
+
+        def counted(spec):
+            def run(formula, timeout, cancel):
+                try:
+                    return spec.run(formula, timeout, cancel)
+                finally:
+                    returned.release()
+
+            return replace(spec, run=run)
+
+        monkeypatch.setattr(portfolio, "_Split", TrackedSplit)
+        solvers = [counted(spec) for spec in internal_solvers()]
+        assert race(parse(SPLIT), solvers, 10.0).verdict.is_sat
+        for _ in solvers:
+            assert returned.acquire(timeout=10.0)
+        # An idle thread that kept the split would hold it for GRACE_SECONDS.
+        deadline = time.monotonic() + GRACE_SECONDS / 2
+        while splits[0]() is not None and time.monotonic() < deadline:
+            gc.collect()
+            time.sleep(0.01)
+        assert len(splits) == 1 and splits[0]() is None
+
+    def test_no_run_waits_behind_a_busy_thread(self):
+        def stubborn(name):
+            def run(formula, timeout, cancel):
+                time.sleep(1.0)  # ignores the cancel event
+                return RunRecord(name, Verdict.timeout(), 1.0)
+
+            return SolverSpec(name, "internal", run)
+
+        f = parse("a U b")
+        instant = scripted_solver("instant", Verdict.unsat(), 0.0)
+        start = time.monotonic()
+        first = race(f, [stubborn(f"stubborn{i}") for i in range(3)] + [instant], 10.0)
+        second = race(f, [instant], 10.0)
+        assert first.winner == second.winner == "instant"
+        assert time.monotonic() - start < 0.5
+
+    def test_concurrent_races_lose_no_run(self, monkeypatch):
+        # Idle threads exit after 1 ms here, so hand-offs race with exits; a
+        # lost run leaves its race waiting out the timeout, answering "none".
+        monkeypatch.setattr(portfolio, "GRACE_SECONDS", 0.001)
+        instant = scripted_solver("instant", Verdict.unsat(), 0.0)
+        winners = []
+
+        def races():
+            for _ in range(50):
+                winners.append(race(parse("a"), [instant], 2.0).winner)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=races) for _ in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=20.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert winners == ["instant"] * 200
 
 
 class TestRunAll:
