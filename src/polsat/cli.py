@@ -14,7 +14,8 @@ Usage mirrors the tool's original transcripts:
 * With no arguments the tool prompts ``please input the formula:``.
 
 Exit codes: 0 definitive verdict or successful batch/registration, 1 usage
-or parse error, 2 when every solver timed out.
+or parse error or a file (the batch input, its report or the registry)
+that cannot be read or written, 2 when every solver timed out.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ def _batch(args: argparse.Namespace) -> int:
         report = bench.run_file(
             args.batch_file, _solver_set(), timeout=args.timeout, mode="separate"
         )
-    except OSError as exc:  # reading FILE or writing the report
-        path = args.batch_file if exc.filename is None else exc.filename
+    except (OSError, UnicodeDecodeError) as exc:  # reading FILE or writing the report
+        path = getattr(exc, "filename", None) or args.batch_file
         action = "read" if Path(path) == Path(args.batch_file) else "write"
         print(f"cannot {action} {path}: {exc}", file=sys.stderr)
         return 1
@@ -180,31 +181,30 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    if args.add_solver is not None:
-        try:
+    try:
+        if args.add_solver is not None:
             added = register(args.add_solver)
-        except RegistrationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        if added:
-            print(f"{args.add_solver} is added.")
-        else:
-            print(f"{args.add_solver} is already registered.", file=sys.stderr)
+            if added:
+                print(f"{args.add_solver} is added.")
+            else:
+                print(f"{args.add_solver} is already registered.", file=sys.stderr)
 
-    if args.batch_file is not None:
-        if args.formula is not None:
-            parser.print_usage(sys.stderr)
-            print("polsat: error: -sm cannot be combined with a formula", file=sys.stderr)
-            return 1
-        return _batch(args)
+        if args.batch_file is not None:
+            if args.formula is not None:
+                parser.print_usage(sys.stderr)
+                print("polsat: error: -sm cannot be combined with a formula", file=sys.stderr)
+                return 1
+            return _batch(args)
 
-    text = args.formula
-    if text is None:
-        text = _prompt_for_formula()
+        text = args.formula
         if text is None:
-            return 0
-    return _check_formula(text, args)
+            text = _prompt_for_formula()
+            if text is None:
+                return 0
+        return _check_formula(text, args)
+    except RegistrationError as exc:  # a bad -add path, or an unreadable registry
+        print(str(exc), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

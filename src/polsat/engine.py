@@ -22,10 +22,10 @@ third-party binaries.  Each is reached by name through :func:`run_strategy`:
 
 Each checks the variable-disjoint components (groups of top-level
 conjuncts) of the formula's NNF after :func:`_simplify` one at a time,
-stops at the first component it cannot show sat (Unsat for the tableau,
-Unknown(incomplete) for the sat-only two), and builds evidence only once
-every component is sat.  The solvers of one race share that split and skip
-the components another of them has shown sat.
+builds each sat one's lasso at once, stops at the first it cannot show sat
+(Unsat for the tableau, Unknown(incomplete) for the sat-only two), and
+merges the lassos once every component is sat.  The solvers of one race
+share that split and its lassos, and skip the components already sat.
 
 Expansion rules: ``a U b`` expands to ``b | (a & X(a U b))``, ``a R b`` to
 ``b & (a | X(a R b))``; And/Or saturate; a node's X-label, the state it
@@ -44,7 +44,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import count
 from math import lcm
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .formulas import (
     FALSE,
@@ -369,22 +369,20 @@ def tableau_check(f: Formula, budget: Budget | None = None) -> Verdict:
     exhaustion yields Unknown(timeout), cancellation Unknown(cancelled).
 
     Variable-disjoint components are checked one at a time, which keeps
-    wide but loosely coupled conjunctions tractable; lassos are extracted,
-    and merged, only once every component is sat.
+    wide but loosely coupled conjunctions tractable; each component's lasso
+    is extracted as it is shown sat, and merged once all are.
     """
     return run_strategy("tableau", f, Budget() if budget is None else budget)
 
 
 class _Split:
     """A formula's components, split once from its :func:`_simplify`-ed
-    NNF, the propositions that pass fixed true, and the lasso builder of
-    each component shown sat.  A builder only walks transitions its search
-    cached, so it charges nothing, even after its solver has been
-    cancelled."""
+    NNF, the propositions that pass fixed true, and the lasso of each
+    component shown sat, by component index: the first one posted."""
 
     def __init__(self, formula: Formula) -> None:
         self.formula = formula
-        self.sat: dict[int, Callable[[], LassoWord]] = {}
+        self.sat: dict[int, LassoWord] = {}
         self.fixed_true: frozenset[str] = frozenset()
         self._lock = threading.Lock()
         self._components: list[Formula] | None = None
@@ -399,40 +397,6 @@ class _Split:
 
 #: The split of the race whose solver thread this is; None outside a race.
 _RACE_SPLIT: ContextVar[_Split | None] = ContextVar("polsat_race_split", default=None)
-
-
-def _by_component(
-    f: Formula,
-    budget: Budget,
-    check: Callable[[Formula, Budget], Callable[[], LassoWord] | None],
-    unanswered: Verdict,
-) -> Verdict:
-    """Run ``check`` on each variable-disjoint component of ``f`` in turn.
-
-    For a component it shows sat, ``check`` returns a function that builds
-    the component's lasso; otherwise None.  The first None ends the run with
-    ``unanswered``: no later component can make the whole formula sat.  The
-    lassos are built, and merged, only once every component is sat, and the
-    propositions the split fixed true are added to every state.  In a race
-    the solvers share one :class:`_Split`, so none re-checks a component
-    another has shown sat.
-    """
-    split = _RACE_SPLIT.get()
-    if split is None or split.formula is not f:
-        split = _Split(f)
-    try:
-        builds = []
-        for i, component in enumerate(split.components()):
-            build = split.sat.get(i)
-            if build is None:
-                build = check(component, budget)
-                if build is None:
-                    return unanswered
-                split.sat[i] = build
-            builds.append(build)
-        return Verdict.sat(_merge_words([build() for build in builds], split.fixed_true))
-    except _Stop as stop:
-        return Verdict("unknown", reason=stop.reason)
 
 
 def _components(g: Formula) -> list[Formula]:
@@ -574,13 +538,13 @@ def _merge_words(words: list[LassoWord], fixed: frozenset[str]) -> LassoWord | N
     return LassoWord(prefix, loop)
 
 
-def _tableau_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] | None:
+def _tableau_component(g: Formula, budget: Budget) -> LassoWord | None:
     tab = _Tableau(g, budget)
     found, _ = _accepting_scc(tab)
-    return None if found is None else lambda: _extract_word(tab, *found)
+    return None if found is None else _extract_word(tab, *found)
 
 
-def _lasso_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] | None:
+def _lasso_component(g: Formula, budget: Budget) -> LassoWord | None:
     """Iterative deepening of :func:`_accepting_scc` on one graph of the NNF
     component ``g``: the first accepting partial SCC found with the search
     path held to 1, 2, 3, ... states, or None once a pass is not cut short,
@@ -589,7 +553,7 @@ def _lasso_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] | No
     for depth in count(1):
         found, limited = _accepting_scc(tab, depth)
         if found is not None:
-            return lambda: _extract_word(tab, *found)
+            return _extract_word(tab, *found)
         if not limited:
             return None
 
@@ -674,7 +638,8 @@ def _extract_word(tab: _Tableau, path: list[int], members: list[int]) -> LassoWo
     and whose loop goes around a cycle within the states ``members``,
     starting and ending at the first: from there it takes, for each mark
     bit not yet covered, the nearest transition inside ``members`` that
-    carries it, and then returns."""
+    carries it, and then returns.  It walks cached transitions only, so it
+    charges nothing."""
     inside = set(members)
     root, owed = members[0], tab.full_mark
     loop: list[int] = []
@@ -722,7 +687,7 @@ def _path_within(
 Literal = tuple[str, bool]
 
 
-def _shortcut_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] | None:
+def _shortcut_component(g: Formula, budget: Budget) -> LassoWord | None:
     """Propose one-state loops from syntactic obligation sets.
 
     Obligations: a literal obliges itself; X/U/R defer to the operand or
@@ -740,7 +705,7 @@ def _shortcut_component(g: Formula, budget: Budget) -> Callable[[], LassoWord] |
             continue
         word = LassoWord((), (frozenset(name for name, pos in literals if pos),))
         if evaluate(word, g):
-            return lambda: word
+            return word
     return None
 
 
@@ -796,18 +761,35 @@ def _obligations(g: Formula, memo: dict) -> list[frozenset[Literal]] | None:
 def run_strategy(name: str, f: Formula, budget: Budget) -> Verdict:
     """Run one internal solver to a verdict under ``budget``.
 
-    Each solver checks the variable-disjoint components of ``f`` one at a
-    time.  The sat-only searches report Unknown(incomplete) at the first
-    component they cannot show sat, so the portfolio keeps waiting on the
-    others.
+    Each solver checks the variable-disjoint components of ``f`` in turn,
+    and its check returns a component's lasso or None.  The first None ends
+    the run: the sat-only searches report Unknown(incomplete), so the
+    portfolio keeps waiting on the others.  In a race the solvers share one
+    :class:`_Split` and skip the components another has shown sat.
     """
     if name not in _STRATEGIES:
         raise ValueError(f"unknown strategy {name!r}")
-    return _by_component(f, budget, *_STRATEGIES[name])
+    check, unanswered = _STRATEGIES[name]
+    split = _RACE_SPLIT.get()
+    if split is None or split.formula is not f:
+        split = _Split(f)
+    try:
+        words = []
+        for i, component in enumerate(split.components()):
+            word = split.sat.get(i)
+            if word is None:
+                word = check(component, budget)
+                if word is None:
+                    return unanswered
+                word = split.sat.setdefault(i, word)  # the first word posted wins
+            words.append(word)
+    except _Stop as stop:
+        return Verdict("unknown", reason=stop.reason)
+    return Verdict.sat(_merge_words(words, split.fixed_true))
 
 
-#: Per internal solver: its check on one component, and the verdict for a
-#: formula with a component that check cannot show sat.
+#: Per internal solver, in portfolio order: its check on one component, and
+#: the verdict for a formula with a component that check cannot show sat.
 _STRATEGIES = {
     "tableau": (_tableau_component, Verdict.unsat()),
     "lasso": (_lasso_component, Verdict.incomplete("no accepting lasso in a component")),

@@ -41,7 +41,8 @@ _VERDICT_RE = re.compile(r"(sat|unsat)", re.IGNORECASE)
 
 
 class RegistrationError(ValueError):
-    """The path cannot be registered as a solver."""
+    """The path cannot be registered as a solver, or the registry cannot be
+    read."""
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,12 @@ class Registry:
         path = path or default_registry_path()
         specs: list[ExternalSolverSpec] = []
         seen: set[str] = set()
-        if path.exists():
-            for line in path.read_text().splitlines():
+        if path.exists():  # a missing registry is an empty one
+            try:
+                text = path.read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise RegistrationError(f"cannot read {path}: {exc}") from exc
+            for line in text.splitlines():
                 line = line.strip()
                 if not line or line in seen:
                     continue

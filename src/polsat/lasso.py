@@ -55,20 +55,10 @@ class LassoWord:
         if not self.loop:
             raise ValueError("lasso loop must be nonempty")
 
-    @classmethod
-    def make(
-        cls, prefix: Iterable[Iterable[str]] = (), loop: Iterable[Iterable[str]] = ()
-    ) -> "LassoWord":
-        return cls(tuple(frozenset(s) for s in prefix), tuple(frozenset(s) for s in loop))
-
     def state_at(self, i: int) -> State:
         if i < len(self.prefix):
             return self.prefix[i]
         return self.loop[(i - len(self.prefix)) % len(self.loop)]
-
-    def unrolled_once(self) -> "LassoWord":
-        """The same word with one loop copy moved into the prefix."""
-        return LassoWord(self.prefix + self.loop, self.loop)
 
 
 def evaluate(word: LassoWord, formula: Formula) -> bool:

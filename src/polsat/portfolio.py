@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
-from .engine import _RACE_SPLIT, Budget, Verdict, _Split, run_strategy
+from .engine import _RACE_SPLIT, _STRATEGIES, Budget, Verdict, _Split, run_strategy
 from .formulas import Formula
 from .lasso import evaluate
 
@@ -99,13 +99,10 @@ class ConsistencyReport:
 
 
 def internal_solvers() -> list[SolverSpec]:
-    """The built-in solver set: tableau, lasso, shortcut."""
+    """One solver per internal strategy, in order: tableau, lasso, shortcut."""
     return [
-        SolverSpec("tableau", "internal", _internal_runner("tableau"), True, "tableau"),
-        SolverSpec("lasso", "internal", _internal_runner("lasso"), True, "lasso"),
-        SolverSpec(
-            "shortcut", "internal", _internal_runner("shortcut"), True, "shortcut"
-        ),
+        SolverSpec(name, "internal", _internal_runner(name), True, name)
+        for name in _STRATEGIES
     ]
 
 
@@ -241,12 +238,6 @@ def race(
     winner: RunRecord | None = None
     hunting_evidence = False
 
-    def cancel_others(keep_evidence_capable: bool) -> None:
-        for j in pending:
-            if keep_evidence_capable and solvers[j].supports_evidence:
-                continue
-            cancels[j].set()
-
     try:
         for i, record in _launch(formula, solvers, timeout, cancels, _Split(formula)):
             pending.discard(i)
@@ -263,7 +254,9 @@ def race(
                     and any(solvers[j].supports_evidence for j in pending)
                 ):
                     hunting_evidence = True
-                    cancel_others(keep_evidence_capable=True)
+                    for j in pending:
+                        if not solvers[j].supports_evidence:
+                            cancels[j].set()
                 else:
                     break
             elif (

@@ -156,7 +156,7 @@ def test_criterion_2_evidence_validity():
 def test_criterion_2_golden_b_loop_models_a_until_b():
     """The one-state loop where only b holds is a model of ``a U b``."""
     with criterion(2, "golden: b-loop satisfies a U b"):
-        b_forever = LassoWord.make([], [{"b"}])
+        b_forever = LassoWord([], [{"b"}])
         assert evaluate(b_forever, parse("a U b"))
 
 

@@ -160,6 +160,15 @@ class TestBatchMode:
         assert code == 1
         assert err.startswith(f"cannot read {tmp_path / 'nope.txt'}: ")
 
+    def test_file_that_is_not_utf8_exits_one(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bin.ltl").write_bytes(b"a U b\n\xff\xfe bad\n")
+        code, out, err = run_cli(capsys, "-sm", "bin.ltl")
+        assert code == 1
+        assert out == []
+        assert err.startswith("cannot read bin.ltl: ")
+        assert not (tmp_path / "output.txt").exists()
+
     def test_unwritable_report_names_the_report(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "in.ltl").write_text("a U b\n")
@@ -229,6 +238,24 @@ class TestAddSolver:
     def test_bad_path_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "-add", str(tmp_path / "ghost"))
         assert code == 1
+
+
+class TestUnreadableRegistry:
+    @pytest.mark.parametrize(
+        "argv", [["a U b"], ["-s", "a U b"], ["-sm", "in.ltl"], ["-add", "solver"]]
+    )
+    def test_every_command_exits_one(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.ltl").write_text("a U b\n")
+        (tmp_path / "solver").write_text(sh_stub(["sat"]))
+        (tmp_path / "solver").chmod(0o755)
+        registry = tmp_path / "registry"
+        registry.mkdir()
+        monkeypatch.setenv(ENV_REGISTRY, str(registry))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == []
+        assert err.startswith(f"cannot read {registry}: ")
 
 
 class TestDuplicateBasenames:

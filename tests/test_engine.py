@@ -487,19 +487,23 @@ class TestEngineAgreement:
         for n in (1, 5, 20, 100):
             assert tableau_check(gen_O1(n)).is_unsat
 
-    def test_tableau_builder_after_cancel_charges_nothing(self):
-        # In a race, any solver may build a lasso from a component another
-        # solver showed sat, even after that solver has been cancelled.
+    def test_extraction_after_the_search_charges_nothing(self, monkeypatch):
+        # A component check builds its lasso right after its graph search;
+        # the extraction walks only transitions the search cached.
+        extract = engine._extract_word
+        charges = []
+
+        def counted(tab, path, members):
+            before = tab.budget.nodes
+            word = extract(tab, path, members)
+            charges.append(tab.budget.nodes - before)
+            return word
+
+        monkeypatch.setattr(engine, "_extract_word", counted)
         texts = [fixture_text("lift.ltl"), fixture_text("counter.ltl")]
         for text in texts + ["G F a & G F !a & (b U c)"]:
             for component in _components(nnf(parse(text))):
                 for check in (_tableau_component, _lasso_component):
-                    cancel = threading.Event()
-                    budget = Budget(max_nodes=None, cancel=cancel)
-                    build = check(component, budget)
-                    assert build is not None
-                    cancel.set()
-                    charged = budget.nodes
-                    word = build()
-                    assert budget.nodes == charged
-                    assert evaluate(word, component)
+                    word = check(component, Budget(max_nodes=None))
+                    assert word is not None and evaluate(word, component)
+        assert charges and set(charges) == {0}

@@ -77,7 +77,7 @@ class TestInvoke:
         spec = ExternalSolverSpec(stub_dir("evi", sh_stub(["sat", "(b)"])))
         record = invoke(spec, parse("a U b"), 5.0)
         assert record.verdict.is_sat
-        assert record.verdict.evidence == LassoWord.make([], [{"b"}])
+        assert record.verdict.evidence == LassoWord([], [{"b"}])
         assert record.solver == "evi"
 
     def test_unsat(self, stub_dir):

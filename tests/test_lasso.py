@@ -17,7 +17,7 @@ PROPS = ("a", "b", "c")
 
 
 def word(prefix, loop):
-    return LassoWord.make(prefix, loop)
+    return LassoWord(prefix, loop)
 
 
 class TestEvaluate:
@@ -41,7 +41,7 @@ class TestEvaluate:
         for _ in range(300):
             f = random_formula(rng, rng.randint(1, 20), PROPS)
             w = random_lasso(rng, PROPS)
-            assert evaluate(w, f) == evaluate(w.unrolled_once(), f)
+            assert evaluate(w, f) == evaluate(LassoWord(w.prefix + w.loop, w.loop), f)
 
     def test_negation_and_conjunction_pointwise(self):
         rng = random.Random(5)
@@ -86,7 +86,7 @@ class TestLassoWord:
 
     def test_invalid_proposition_name(self):
         with pytest.raises(ValueError):
-            LassoWord.make([], [{"not valid"}])
+            LassoWord([], [{"not valid"}])
 
     def test_state_at_wraps(self):
         w = word([{"a"}], [{"b"}, {"c"}])

@@ -114,7 +114,34 @@ class TestRace:
         result = race(f, [bare, helpful], 10.0, want_evidence=True)
         assert result.verdict.is_sat
         assert result.winner == "helpful"
-        assert result.verdict.evidence == LassoWord.make([], [{"b"}])
+        assert result.verdict.evidence == LassoWord([], [{"b"}])
+
+    def test_evidence_hunt_cancels_only_solvers_without_evidence(self):
+        # "bare" wins without evidence; the hunt cancels "mute", which cannot
+        # give evidence, and lets "witness" run on to answer with a lasso.
+        muted = threading.Event()
+        witness_cancelled = []
+
+        def mute(formula, timeout, cancel):
+            if cancel.wait(5.0):
+                muted.set()
+            return RunRecord("mute", Verdict.cancelled(), 0.0)
+
+        def witness(formula, timeout, cancel):
+            muted.wait(5.0)
+            witness_cancelled.append(cancel.is_set())
+            return RunRecord("witness", Verdict.sat(LassoWord([], [{"a"}])), 0.0)
+
+        solvers = [
+            scripted_solver("bare", Verdict.sat(None), 0.0),
+            SolverSpec("mute", "external", mute, supports_evidence=False),
+            SolverSpec("witness", "external", witness),
+        ]
+        result = race(parse("a"), solvers, 10.0, want_evidence=True)
+        assert muted.is_set()
+        assert witness_cancelled == [False]
+        assert result.winner == "witness"
+        assert result.verdict.evidence == LassoWord([], [{"a"}])
 
     def test_evidence_hunt_falls_back_to_first_winner(self, stub_solver):
         bare = stub_solver("baresat", sh_stub(["sat"]), supports_evidence=False)
@@ -152,8 +179,8 @@ class TestRace:
         assert result.winner == "tableau"
 
     def test_shared_components_give_valid_evidence(self, monkeypatch):
-        # The winner's lasso may merge builders of the other solvers, which
-        # settle components in an order that varies from run to run.  Six
+        # The winner's lasso may merge lassos the other solvers posted for
+        # components they settled, in an order that varies from run to run.  Six
         # solver threads and a short switch interval stress the sharing.
         splits = []
         real = engine._components
@@ -171,6 +198,23 @@ class TestRace:
                 assert len(splits) == k + 1
         finally:
             sys.setswitchinterval(interval)
+
+    def test_race_shares_one_lasso_per_component(self, monkeypatch):
+        splits = []
+
+        class TrackedSplit(engine._Split):
+            def __init__(self, formula):
+                super().__init__(formula)
+                splits.append(self)
+
+        monkeypatch.setattr(portfolio, "_Split", TrackedSplit)
+        assert race(parse(SPLIT), internal_solvers(), 10.0).verdict.is_sat
+        (split,) = splits
+        components = split.components()
+        assert sorted(split.sat) == list(range(len(components)))
+        for i, component in enumerate(components):
+            assert isinstance(split.sat[i], LassoWord)
+            assert evaluate(split.sat[i], component)
 
     def test_race_splits_the_formula_once(self, monkeypatch):
         calls = {"nnf": 0, "_components": 0}
@@ -443,8 +487,8 @@ class TestArbitrate:
 
     def test_invalid_evidence_reported_per_solver(self):
         f = parse("G p")
-        bogus = LassoWord.make([], [{"q"}])
-        good = LassoWord.make([], [{"p"}])
+        bogus = LassoWord([], [{"q"}])
+        good = LassoWord([], [{"p"}])
         records = [
             RunRecord("honest", Verdict.sat(good), 0.1),
             RunRecord("liar", Verdict.sat(bogus), 0.1),
