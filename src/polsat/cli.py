@@ -202,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
             if text is None:
                 return 0
         return _check_formula(text, args)
-    except RegistrationError as exc:  # a bad -add path, or an unreadable registry
+    except RegistrationError as exc:  # a bad -add path, or a registry it cannot read or write
         print(str(exc), file=sys.stderr)
         return 1
 

@@ -42,7 +42,7 @@ _VERDICT_RE = re.compile(r"(sat|unsat)", re.IGNORECASE)
 
 class RegistrationError(ValueError):
     """The path cannot be registered as a solver, or the registry cannot be
-    read."""
+    read or written."""
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,12 @@ class Registry:
         return cls(specs, path)
 
     def save(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         text = "".join(spec.path + "\n" for spec in self.specs)
-        self.path.write_text(text)
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self.path.write_text(text)
+        except OSError as exc:
+            raise RegistrationError(f"cannot write {self.path}: {exc}") from exc
 
     def add(self, solver_path: str) -> bool:
         """Append a solver; returns False (no-op) when already present."""

@@ -2,14 +2,14 @@
 
 A :class:`LassoWord` denotes the infinite word ``prefix . loop^omega`` where
 every position is the set of propositions that hold there (anything absent
-is false).  :func:`evaluate` decides ``word |= formula`` exactly, via
-fixpoint computation over the finitely many positions of the lasso.
+is false).  :func:`evaluate` decides ``word |= formula`` exactly, in time
+linear in the word's length, over the finitely many positions of the lasso.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .formulas import (
     IDENTIFIER_RE,
@@ -64,20 +64,27 @@ class LassoWord:
 def evaluate(word: LassoWord, formula: Formula) -> bool:
     """Exact decision of ``word |= formula`` under standard LTL semantics.
 
-    Works over positions ``0 .. len(prefix)+len(loop)-1`` with the loop-back
-    successor; Until/Finally are least fixpoints, Release/Globally their
-    duals, so the answer is exact rather than a bounded approximation.
-    A formula's truth over all positions is one int bitset (bit ``i`` is
-    position ``i``), so each fixpoint step is a few integer operations.
+    A formula's truth over all positions is one int bitset, so the check is
+    linear in the word's length.  The positions are the prefix, then two
+    copies of the loop; position ``i`` is bit ``n-1-i``, so a successor is
+    the next lower bit.  Until carries ``b`` back through each run of
+    ``a``-and-not-``b`` with one addition (Markey & Schnoebelen's backward
+    pass over an ultimately periodic word).  Two copies let the carry go
+    once around the loop, so the first copy is exact; it then overwrites
+    the second, whose last position has no successor in the bitset.
     """
     states = word.prefix + word.loop
-    loop_start = len(word.prefix)
-    last = len(states) - 1
-    full = (1 << len(states)) - 1
+    width = len(word.loop)
+    n = len(states) + width
+    full = (1 << n) - 1
+    low = (1 << width) - 1  # the second loop copy
 
-    def step(v: int) -> int:
-        # Bit i of the result is bit succ(i) of v.
-        return (v >> 1) | (((v >> loop_start) & 1) << last)
+    def tracked(v: int) -> int:  # the second loop copy repeats the first
+        return v & ~low | (v >> width) & low
+
+    def until(a: int, b: int) -> int:
+        run = a & ~b
+        return tracked(b | run & ~(run + (b << 1)))
 
     memo: dict[Formula, int] = {}
 
@@ -92,11 +99,12 @@ def evaluate(word: LassoWord, formula: Formula) -> bool:
             v = 0
         elif t is Prop:
             # Built from a binary string: linear in the word's length.
-            v = int("".join("1" if f.name in s else "0" for s in reversed(states)), 2)
+            v = int("".join("1" if f.name in s else "0" for s in states), 2)
+            v = v << width | v & low
         elif t is Not:
             v = full ^ vec(f.operand)
         elif t is Next:
-            v = step(vec(f.operand))
+            v = tracked((vec(f.operand) << 1) & full)
         elif t is And:
             v = vec(f.left) & vec(f.right)
         elif t is Or:
@@ -106,34 +114,24 @@ def evaluate(word: LassoWord, formula: Formula) -> bool:
         elif t is Iff:
             v = full ^ vec(f.left) ^ vec(f.right)
         elif t is Until:
-            v = _lfp(vec(f.left), vec(f.right), step)
+            v = until(vec(f.left), vec(f.right))
         elif t is Release:
             # a R b  ==  !(!a U !b)
-            v = full ^ _lfp(full ^ vec(f.left), full ^ vec(f.right), step)
+            v = full ^ until(full ^ vec(f.left), full ^ vec(f.right))
         elif t is Globally:
             # G x  ==  false R x  ==  !(true U !x)
-            v = full ^ _lfp(full, full ^ vec(f.operand), step)
+            v = full ^ until(full, full ^ vec(f.operand))
         elif t is Finally:
             # F x  ==  true U x
-            v = _lfp(full, vec(f.operand), step)
+            v = until(full, vec(f.operand))
         else:
             raise TypeError(f"not a formula: {f!r}")
         memo[f] = v
         return v
 
-    holds = bool(vec(formula) & 1)
+    holds = bool(vec(formula) >> (n - 1) & 1)
     del vec  # it refers to itself; unlinked, no cyclic garbage is left behind
     return holds
-
-
-def _lfp(left: int, right: int, step: Callable[[int], int]) -> int:
-    # Least fixpoint of  v[i] = right[i] or (left[i] and v[succ[i]]).
-    v = 0
-    while True:
-        nv = right | (left & step(v))
-        if nv == v:
-            return v
-        v = nv
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ start are the low ``N`` bits, and the successor map is one right shift by
 end are kept at zero.  This is independent of the solver code under test;
 only the tiny per-lasso evaluator in ``polsat.lasso`` shares the semantics,
 and the two are cross-checked against each other in the test suite.
+
+:func:`holds` is a second, per-word reference for long lassos, written
+without the bitset tricks of either evaluator.
 """
 
 from __future__ import annotations
@@ -39,6 +42,49 @@ from conftest import all_lassos
 
 UNARY_OPS = (Not, Next, Globally, Finally)
 BINARY_OPS = (And, Or, Implies, Iff, Until, Release)
+
+
+def holds(word: LassoWord, formula: Formula) -> bool:
+    """Reference ``word |= formula``: one list of truth values per subformula.
+
+    Until and Release walk backwards over the positions, twice around the
+    loop and then through the prefix (Markey & Schnoebelen's pass over an
+    ultimately periodic word).  The first lap starts from the fixpoint's
+    start value past the loop's end and is exact at the loop's start, so
+    the second lap is exact everywhere.
+    """
+    states = word.prefix + word.loop
+    start, m = len(word.prefix), len(states)
+    succ = list(range(1, m)) + [start]
+    order = [*range(m - 1, start - 1, -1)] * 2 + [*range(start - 1, -1, -1)]
+
+    def walk(a: list[bool], b: list[bool], strong: bool) -> list[bool]:
+        out, val = [False] * m, not strong  # l U r is least, l R r greatest
+        for i in order:
+            val = (b[i] or a[i] and val) if strong else (b[i] and (a[i] or val))
+            out[i] = val
+        return out
+
+    def truth(f: Formula) -> list[bool]:
+        t = type(f)
+        if t in (TrueConst, FalseConst):
+            return [t is TrueConst] * m
+        if t is Prop:
+            return [f.name in s for s in states]
+        if t is Not:
+            return [not x for x in truth(f.operand)]
+        if t is Next:
+            v = truth(f.operand)
+            return [v[succ[i]] for i in range(m)]
+        if t in (Globally, Finally):
+            return walk([t is Finally] * m, truth(f.operand), t is Finally)
+        a, b = truth(f.left), truth(f.right)
+        if t in (Until, Release):
+            return walk(a, b, t is Until)
+        op = {And: bool.__and__, Or: bool.__or__, Iff: bool.__eq__, Implies: bool.__le__}
+        return [op[t](x, y) for x, y in zip(a, b)]
+
+    return truth(formula)[0]
 
 
 class VectorOracle:

@@ -258,6 +258,19 @@ class TestUnreadableRegistry:
         assert err.startswith(f"cannot read {registry}: ")
 
 
+class TestUnwritableRegistry:
+    def test_add_exits_one(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "solver").write_text(sh_stub(["sat"]))
+        (tmp_path / "solver").chmod(0o755)
+        (tmp_path / "file").write_text("")
+        registry = tmp_path / "file" / "registry"  # its parent is a regular file
+        monkeypatch.setenv(ENV_REGISTRY, str(registry))
+        code, out, err = run_cli(capsys, "-add", str(tmp_path / "solver"))
+        assert code == 1
+        assert out == []
+        assert err.startswith(f"cannot write {registry}: ")
+
+
 class TestDuplicateBasenames:
     """Two registered solvers named ``solv`` keep apart as ``solv``/``solv#2``."""
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from polsat.lasso import (
 )
 
 from conftest import all_lassos, random_formula, random_lasso
+from oracle import holds
 
 PROPS = ("a", "b", "c")
 
@@ -77,6 +79,55 @@ class TestEvaluate:
         w = word([{"a"}, {}], [{"b"}])
         assert not evaluate(w, parse("a U b"))
         assert evaluate(word([{"a"}, {"a"}], [{"b"}]), parse("a U b"))
+
+
+class TestAgainstReference:
+    """``evaluate`` against the per-word reference ``oracle.holds``."""
+
+    def test_long_random_lassos(self):
+        rng = random.Random(1_703)
+        for _ in range(3_000):
+            density = rng.choice((0.05, 0.5, 0.95))  # so that G and F both vary
+
+            def state():
+                return frozenset(p for p in PROPS if rng.random() < density)
+
+            prefix = [state() for _ in range(rng.randint(0, 40))]
+            w = word(prefix, [state() for _ in range(rng.randint(1, 100))])
+            f = random_formula(rng, rng.randint(1, 25), PROPS)
+            assert evaluate(w, f) == holds(w, f), (print_evidence(w), f)
+
+    @pytest.mark.parametrize(
+        "evidence, text, expected",
+        [
+            # A run of ``a`` that wraps the loop before it meets ``b``.
+            ("(b,a,a)", "X (a U b)", True),
+            ("(b,a,a)", "X X (a U b)", True),
+            ("(b,a,a)", "X (!b R !a)", False),
+            ("(b,a,a)", "X (!a R !b)", False),
+            ("c;(b,a,a)", "X X X (a U b)", True),
+            ("(c,a,a)", "X (a U b)", False),
+            ("(c,a,a)", "X (!a R !b)", True),
+            ("(a,a,a)", "a U b", False),
+            ("(a,a,a)", "!a R !b", True),
+            ("a;(c,b,a,a)", "X X X (a U b)", False),
+        ],
+    )
+    def test_runs_that_wrap_the_loop(self, evidence, text, expected):
+        w, f = parse_evidence(evidence), parse(text)
+        assert holds(w, f) is expected
+        assert evaluate(w, f) is expected
+
+
+class TestLinearTime:
+    @pytest.mark.parametrize("text", ["G F a", "(!a) U (a & X G F a)"])
+    def test_long_loop_is_validated_in_under_a_second(self, text):
+        loop = [frozenset()] * 200_000
+        loop[100_000] = frozenset({"a"})
+        w, f = word([], loop), parse(text)
+        start = time.perf_counter()
+        assert evaluate(w, f)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLassoWord:
