@@ -14,14 +14,16 @@ Usage mirrors the tool's original transcripts:
 * With no arguments the tool prompts ``please input the formula:``.
 
 Exit codes: 0 definitive verdict or successful batch/registration, 1 usage
-or parse error or a file (the batch input, its report or the registry)
-that cannot be read or written, 2 when every solver timed out.
+or parse error, a file (the batch input, its report or the registry) that
+cannot be read or written, or a standard output closed by its reader, 2 when
+every solver timed out.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -130,15 +132,10 @@ def _check_formula(text: str, args: argparse.Namespace) -> int:
     solvers = _solver_set()
     if args.separate:
         records = run_all(formula, solvers, args.timeout)
-        report = arbitrate(records, formula)
+        report = arbitrate(records)
         for record in records:
             print(f"{record.solver}: {record.verdict.kind}\t{bench.format_seconds(record.elapsed)}s")
-            if (
-                args.evidence
-                and record.verdict.is_sat
-                and record.verdict.evidence is not None
-                and record.solver not in report.invalid_evidence
-            ):
+            if args.evidence and record.verdict.evidence is not None:
                 print(print_evidence(record.verdict.evidence))
         named = {} if report.consistent else dict(report.verdict_groups)
         if report.invalid_evidence:
@@ -176,6 +173,17 @@ def _prompt_for_formula() -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout, as ``| head`` does
+        # Point stdout at devnull, so that its flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -14,12 +14,20 @@ Both start solvers through one launcher.  It names every record after its
 :class:`SolverSpec`, turns a solver that raises into an Unknown(solver-error)
 record, and applies one accounting rule: a timed-out run costs exactly the
 timeout, and any other run costs at most the timeout plus ``GRACE_SECONDS``.
+It is also the one place a sat witness is checked: a record whose witness
+does not satisfy the formula keeps its sat verdict, loses the witness, and
+says so in its ``detail``, so races, ``run_all`` and :func:`arbitrate` all
+read the same checked records.
+
 Solver threads are reused across races; a new one starts only when none is
-idle, and one idle for ``GRACE_SECONDS`` exits.
+idle, and one idle for ``GRACE_SECONDS`` exits.  At interpreter exit, runs
+still going get up to ``2 * GRACE_SECONDS`` to end, so that a cancelled
+external solver is killed rather than left to outlive the interpreter.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextvars
 import logging
 import math
@@ -89,8 +97,8 @@ class ConsistencyReport:
 
     Unknown verdicts never create conflicts; ``verdict_groups`` maps each
     definitive verdict word to the solvers that produced it, and
-    ``invalid_evidence`` names solvers whose sat evidence failed
-    re-evaluation.
+    ``invalid_evidence`` names solvers whose sat witness the launcher
+    rejected.
     """
 
     consistent: bool
@@ -116,26 +124,24 @@ def _internal_runner(strategy: str) -> Runner:
     return run
 
 
-def _validated(record: RunRecord, formula: Formula) -> RunRecord:
-    """Drop sat evidence that does not actually satisfy the formula."""
-    verdict = record.verdict
-    if verdict.is_sat and verdict.evidence is not None:
-        if not evaluate(verdict.evidence, formula):
-            log.warning("solver %s returned invalid evidence; dropped", record.solver)
-            return replace(record, verdict=Verdict.sat(None))
-    return record
+#: The detail of a sat verdict whose witness failed the launcher's check.
+_REJECTED = "witness does not satisfy the formula; dropped"
 
 
-#: Inboxes of the solver threads waiting for a run, the latest idle last.
+#: Inboxes of the solver threads waiting for a run, the latest idle last,
+#: and the number of runs handed out and not yet done.
 _idle: list[queue.SimpleQueue] = []
+_busy = 0
 _idle_lock = threading.Lock()
 
 
 def _submit(name: str, run: Callable[..., None], *args: object) -> None:
     """Hand ``run(*args)`` to an idle solver thread, or else to a new one: a
     run never waits behind a busy thread, such as a cancelled solver's."""
+    global _busy
     with _idle_lock:
         inbox = _idle.pop() if _idle else None
+        _busy += 1
     if inbox is None:
         inbox = queue.SimpleQueue()
         threading.Thread(target=_serve, args=(inbox,), daemon=True, name=f"polsat-{name}").start()
@@ -145,6 +151,7 @@ def _submit(name: str, run: Callable[..., None], *args: object) -> None:
 def _serve(inbox: queue.SimpleQueue) -> None:
     """Do the runs that arrive in ``inbox``, each in a fresh context so that it
     drops its ``_RACE_SPLIT``; exit after ``GRACE_SECONDS`` without one."""
+    global _busy
     while True:
         try:
             name, run, args = inbox.get(timeout=GRACE_SECONDS)
@@ -160,6 +167,17 @@ def _serve(inbox: queue.SimpleQueue) -> None:
         run = args = None  # keep nothing of the finished race alive
         with _idle_lock:
             _idle.append(inbox)
+            _busy -= 1
+
+
+@atexit.register
+def _drain() -> None:
+    """Wait up to ``2 * GRACE_SECONDS`` for the runs still going.  Solver
+    threads are daemons: without this wait, a cancelled external solver's
+    kill would never run once the interpreter exits."""
+    give_up = time.monotonic() + 2 * GRACE_SECONDS
+    while _busy and time.monotonic() < give_up:
+        time.sleep(0.005)
 
 
 def _launch(
@@ -173,17 +191,18 @@ def _launch(
 
     Nothing starts before the first record is asked for.  Every record is
     named after its :class:`SolverSpec`; a ``run`` that raises becomes
-    Unknown(solver-error).  Records that arrive together come lowest index
-    first.  The iterator ends once every solver has reported, or
-    ``2 * GRACE_SECONDS`` after the timeout: time for a kill to escalate and
-    for the killed process to be reaped.
+    Unknown(solver-error); a sat witness that does not satisfy ``formula`` is
+    dropped, and the record's detail says so.  Records that arrive together
+    come lowest index first.  The iterator ends once every solver has
+    reported, or ``2 * GRACE_SECONDS`` after the timeout: time for a kill to
+    escalate and for the killed process to be reaped.
     """
     if not solvers:
         raise ValueError("no solvers configured")
     names = [s.name for s in solvers]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate solver names: {names}")
-    if not 0 < timeout < math.inf:  # a nan deadline never expires; inf overflows queue.get
+    if not 0 < timeout < math.inf:  # nan never expires; a timed-out run is charged the timeout
         raise ValueError(f"timeout must be a positive finite number, not {timeout!r}")
     give_up = time.monotonic() + timeout + 2 * GRACE_SECONDS
     results: "queue.SimpleQueue[tuple[int, RunRecord]]" = queue.SimpleQueue()
@@ -207,13 +226,19 @@ def _launch(
     pending = len(solvers)
     while pending:
         try:
-            arrived = [results.get(timeout=max(0.0, give_up - time.monotonic()))]
+            wait = max(0.0, give_up - time.monotonic())
+            arrived = [results.get(timeout=min(wait, threading.TIMEOUT_MAX))]
         except queue.Empty:
             return
         while not results.empty():  # this generator is the only reader
             arrived.append(results.get_nowait())
         pending -= len(arrived)
-        yield from sorted(arrived, key=lambda item: item[0])
+        for i, record in sorted(arrived, key=lambda item: item[0]):
+            witness = record.verdict.evidence
+            if record.verdict.is_sat and witness is not None and not evaluate(witness, formula):
+                log.warning("solver %s returned invalid evidence; dropped", record.solver)
+                record = replace(record, verdict=Verdict("sat", detail=_REJECTED))
+            yield i, record
 
 
 def race(
@@ -226,9 +251,10 @@ def race(
 
     On a win every other worker is cancelled.  If ``want_evidence`` is set
     and the winner has no evidence for a sat verdict, evidence-capable
-    solvers keep running until one produces a (validated) witness or the
-    timeout expires; the witness producer then becomes the winner.  If no
-    solver answers, the result is Unknown(timeout) with winner ``"none"``.
+    solvers keep running until one produces a witness that passes the
+    launcher's check, or the timeout expires; the witness producer then
+    becomes the winner.  If no solver answers, the result is
+    Unknown(timeout) with winner ``"none"``.
     The internal solvers split the formula once and share per-component
     sat results; unsat still rests on the tableau's own check.
     """
@@ -236,36 +262,28 @@ def race(
     pending = set(range(len(solvers)))
     received: list[RunRecord] = []
     winner: RunRecord | None = None
-    hunting_evidence = False
 
     try:
         for i, record in _launch(formula, solvers, timeout, cancels, _Split(formula)):
             pending.discard(i)
-            record = _validated(record, formula)
             received.append(record)
-            if not record.verdict.is_definitive:
-                continue
-            if winner is None:
+            verdict = record.verdict
+            if winner is not None:  # held only while hunting for a witness
+                if verdict.is_sat and verdict.evidence is not None:
+                    winner = record
+                    break
+            elif verdict.is_definitive:
                 winner = record
-                if (
+                if not (
                     want_evidence
-                    and record.verdict.is_sat
-                    and record.verdict.evidence is None
+                    and verdict.is_sat
+                    and verdict.evidence is None
                     and any(solvers[j].supports_evidence for j in pending)
                 ):
-                    hunting_evidence = True
-                    for j in pending:
-                        if not solvers[j].supports_evidence:
-                            cancels[j].set()
-                else:
                     break
-            elif (
-                hunting_evidence
-                and record.verdict.is_sat
-                and record.verdict.evidence is not None
-            ):
-                winner = record
-                break
+                for j in pending:
+                    if not solvers[j].supports_evidence:
+                        cancels[j].set()
     finally:
         for event in cancels:
             event.set()
@@ -282,8 +300,10 @@ def run_all(
     """Run every solver to completion or its own timeout; no cancellation.
 
     Unlike a race, the solvers share nothing.  Records come back
-    fastest-first.  A solver failure becomes an Unknown(solver-error)
-    record rather than an exception.
+    fastest-first, checked by the launcher as in a race: a sat witness that
+    does not satisfy the formula is dropped and named in the verdict's
+    detail.  A solver failure becomes an Unknown(solver-error) record rather
+    than an exception.
     """
     never = threading.Event()
     reported = dict(_launch(formula, solvers, timeout, [never] * len(solvers)))
@@ -296,31 +316,19 @@ def run_all(
     return out
 
 
-def arbitrate(
-    records: list[RunRecord], formula: Formula | None = None
-) -> ConsistencyReport:
-    """Check run records for verdict consistency.
+def arbitrate(records: list[RunRecord]) -> ConsistencyReport:
+    """Check run records, as ``run_all`` or a race returns them, for verdict
+    consistency.
 
-    Sat evidence is re-verified against ``formula`` when one is supplied;
-    invalid evidence is reported per solver but does not by itself make the
-    verdicts inconsistent.
+    Solvers whose sat witness the launcher rejected are reported per solver,
+    but that does not by itself make the verdicts inconsistent.
     """
     groups: dict[str, list[str]] = {}
-    invalid: list[str] = []
     for record in records:
-        verdict = record.verdict
-        if verdict.is_definitive:
-            groups.setdefault(verdict.kind, []).append(record.solver)
-        if (
-            formula is not None
-            and verdict.is_sat
-            and verdict.evidence is not None
-            and not evaluate(verdict.evidence, formula)
-        ):
-            invalid.append(record.solver)
-    consistent = len(groups) <= 1
+        if record.verdict.is_definitive:
+            groups.setdefault(record.verdict.kind, []).append(record.solver)
     return ConsistencyReport(
-        consistent=consistent,
+        consistent=len(groups) <= 1,
         verdict_groups={kind: tuple(names) for kind, names in groups.items()},
-        invalid_evidence=tuple(invalid),
+        invalid_evidence=tuple(r.solver for r in records if r.verdict.detail == _REJECTED),
     )

@@ -236,13 +236,13 @@ def test_criterion_6_consistency_platform(stub_dir):
         wrong = as_solver_spec(ExternalSolverSpec(stub_dir("wrongstub", sh_stub(["unsat"]))))
         f = parse("a U b")
         records = run_all(f, internal_solvers()[:1] + [wrong], 30.0)
-        report = arbitrate(records, f)
+        report = arbitrate(records)
         assert not report.consistent
         assert report.verdict_groups["sat"] == ("tableau",)
         assert report.verdict_groups["unsat"] == ("wrongstub",)
 
         records = run_all(f, internal_solvers(), 30.0)
-        report = arbitrate(records, f)
+        report = arbitrate(records)
         assert report.consistent
 
 

@@ -19,7 +19,7 @@ from polsat.lasso import evaluate
 from polsat.patterns import PATTERNS
 from polsat.portfolio import internal_solvers
 
-from conftest import UNDECIDED, sleeper_stub
+from conftest import UNDECIDED, sh_stub, sleeper_stub
 
 LINE_RE = re.compile(r"^\d+\t(sat|unsat|unknown|error)\t\S+\t\d+(\.\d+)?$")
 
@@ -111,6 +111,20 @@ class TestRunFile:
         assert len(data_lines) == 3 + 3  # outcomes + per-solver totals
         for line in data_lines[:3]:
             assert LINE_RE.match(line), line
+
+    def test_separate_mode_returns_only_checked_witnesses(self, tmp_path, stub_dir):
+        # The liar's witness never has p, so it fails G p.
+        liar = as_solver_spec(ExternalSolverSpec(stub_dir("liar", sh_stub(["sat", "(q)"]))))
+        src = tmp_path / "one.txt"
+        src.write_text("G p\n")
+        report = run_file(
+            src, [liar] + internal_solvers(), timeout=10.0, out_path=tmp_path / "output.txt"
+        )
+        assert report.records["liar"][0].verdict.is_sat
+        for records in report.records.values():
+            (record,) = records
+            witness = record.verdict.evidence
+            assert witness is None or evaluate(witness, parse("G p")), record.solver
 
     def test_too_deeply_nested_line_is_an_error(self, tmp_path):
         src = tmp_path / "formulas.txt"

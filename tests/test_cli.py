@@ -1,4 +1,5 @@
 import io
+import os
 import re
 import subprocess
 import sys
@@ -52,6 +53,11 @@ class TestOneShot:
         assert evaluate(word, parse("a U b"))
         assert out[2].startswith("from ")
         assert TIME_RE.match(out[3])
+
+    def test_timeout_beyond_the_platform_wait_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "--timeout", "1e300", "a U b")
+        assert code == 0
+        assert out[0] == "sat"
 
     def test_evidence_flag_ignored_on_unsat(self, capsys):
         code, out, _ = run_cli(capsys, "-e", "p & !p")
@@ -333,3 +339,23 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 1
         assert "error: argument --timeout" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])  # fails on flush, or on print
+    def test_closed_stdout_ends_without_a_traceback(self, tmp_path, unbuffered):
+        env = child_env(**{ENV_REGISTRY: str(tmp_path / "reg")}, PYTHONUNBUFFERED=unbuffered)
+        read, write = os.pipe()
+        os.close(read)  # no reader, as after `polsat "a U b" | head -c 0`
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "polsat", "a U b"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                stdin=subprocess.DEVNULL,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert proc.stderr == ""
+        assert proc.returncode == 1

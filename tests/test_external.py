@@ -1,4 +1,7 @@
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -19,7 +22,14 @@ from polsat.formulas import parse, render
 from polsat.lasso import LassoWord
 from polsat.portfolio import race
 
-from conftest import live_processes, requires_proc, sh_stub, sleeper_stub
+from conftest import (
+    binary_counter,
+    child_env,
+    live_processes,
+    requires_proc,
+    sh_stub,
+    sleeper_stub,
+)
 
 
 @pytest.fixture
@@ -200,4 +210,30 @@ class TestProcessHygiene:
             if not leftovers:
                 break
             time.sleep(0.05)
+        assert not leftovers
+
+    @requires_proc
+    def test_no_solver_outlives_the_cli(self, stub_dir, tmp_path):
+        # The race ends while the stub still sleeps, and the interpreter exits
+        # right after printing.  tableau takes about 0.1 s on the 9-bit
+        # counter, long enough for the stub to be spawned first.
+        stub = stub_dir("sleepstub", sleeper_stub(30))
+        registry = tmp_path / "registry"
+        registry.write_text(stub + "\n")
+        env = child_env(**{ENV_REGISTRY: str(registry)})
+        for _ in range(3):
+            proc = subprocess.run(
+                [sys.executable, "-m", "polsat", binary_counter(9)],
+                capture_output=True,
+                text=True,
+                env=env,
+                stdin=subprocess.DEVNULL,
+                timeout=60,
+            )
+            assert proc.stdout.splitlines()[:2] == ["unsat", "from tableau"]
+        deadline = time.monotonic() + 1.0
+        while (leftovers := live_processes(stub)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        for pid in leftovers:  # do not leave them to sleep out their 30 s
+            os.kill(pid, signal.SIGKILL)
         assert not leftovers

@@ -168,6 +168,11 @@ class TestRace:
         with pytest.raises(ValueError, match="positive finite"):
             race(parse("a"), internal_solvers(), timeout)
 
+    def test_timeout_beyond_the_platform_wait_limit(self):
+        assert threading.TIMEOUT_MAX < 1e300
+        result = race(parse("a U b"), internal_solvers(), 1e300)
+        assert result.verdict.is_sat
+
     def test_duplicate_names_rejected(self, stub_solver):
         a = stub_solver("same", sh_stub(["sat"]))
         with pytest.raises(ValueError):
@@ -422,6 +427,22 @@ class TestRunAll:
         assert by_name["slowpoke"].verdict.reason == "timeout"
         assert by_name["slowpoke"].elapsed == 0.5
 
+    def test_timeout_beyond_the_platform_wait_limit(self):
+        records = run_all(parse("a U b"), internal_solvers(), 1e300)
+        assert [r.verdict.kind for r in records] == ["sat"] * 3
+
+    def test_invalid_witness_is_dropped(self, stub_solver):
+        # The liar's witness never has p, so it fails G p: its record keeps
+        # sat, loses the witness and says why.
+        lying = stub_solver("liar", sh_stub(["sat", "(q)"]))
+        f = parse("G p")
+        records = {r.solver: r.verdict for r in run_all(f, [lying] + internal_solvers(), 10.0)}
+        assert records["liar"].is_sat
+        assert records["liar"].evidence is None
+        assert "does not satisfy" in records["liar"].detail
+        for verdict in records.values():
+            assert verdict.evidence is None or evaluate(verdict.evidence, f)
+
     def test_crashing_solver_yields_a_measured_error_record(self):
         records = run_all(parse("a U b"), [crashing_solver()] + internal_solvers()[:1], 10.0)
         crashed = {r.solver: r for r in records}["crasher"]
@@ -449,7 +470,7 @@ class TestRunAll:
         f = parse("a U b")
         records = run_all(f, internal_solvers()[:1] + [wrong], 10.0)
         assert len(records) == 2
-        report = arbitrate(records, f)
+        report = arbitrate(records)
         assert not report.consistent
         assert set(report.verdict_groups) == {"sat", "unsat"}
         assert report.verdict_groups["sat"] == ("tableau",)
@@ -485,15 +506,16 @@ class TestArbitrate:
         ]
         assert arbitrate(records).consistent
 
-    def test_invalid_evidence_reported_per_solver(self):
-        f = parse("G p")
-        bogus = LassoWord([], [{"q"}])
-        good = LassoWord([], [{"p"}])
-        records = [
-            RunRecord("honest", Verdict.sat(good), 0.1),
-            RunRecord("liar", Verdict.sat(bogus), 0.1),
-        ]
-        report = arbitrate(records, f)
+    def test_invalid_evidence_reported_per_solver(self, stub_solver):
+        honest = stub_solver("honest", sh_stub(["sat", "(p)"]))
+        lying = stub_solver("liar", sh_stub(["sat", "(q)"]))
+        report = arbitrate(run_all(parse("G p"), [honest, lying], 10.0))
         assert report.consistent  # verdicts agree
         assert report.invalid_evidence == ("liar",)
-        assert evaluate(good, f)
+
+    def test_race_records_name_invalid_evidence(self, stub_solver):
+        lying = stub_solver("liar", sh_stub(["sat", "(q)"]))
+        honest = stub_solver("honest", "#!/bin/sh\nsleep 0.2\necho sat\necho '(p)'\n")
+        result = race(parse("G p"), [lying, honest], 10.0, want_evidence=True)
+        assert result.winner == "honest"
+        assert arbitrate(result.records).invalid_evidence == ("liar",)
