@@ -217,7 +217,7 @@ def run_file(
     """
     if mode not in ("separate", "race"):
         raise ValueError(f"unknown mode {mode!r}")
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8-sig")
     report = BenchReport(
         mode=mode,
         timeout=timeout,

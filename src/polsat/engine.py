@@ -26,6 +26,8 @@ builds each sat one's lasso at once, stops at the first it cannot show sat
 (Unsat for the tableau, Unknown(incomplete) for the sat-only two), and
 merges the lassos once every component is sat.  The solvers of one race
 share that split and its lassos, and skip the components already sat.
+The NNF pass hands :func:`_simplify` its first literal census, and
+:func:`_fold` skips an operand that its folded sibling makes moot.
 
 Expansion rules: ``a U b`` expands to ``b | (a & X(a U b))``, ``a R b`` to
 ``b & (a | X(a R b))``; And/Or saturate; a node's X-label, the state it
@@ -59,8 +61,8 @@ from .formulas import (
     Release,
     TrueConst,
     Until,
+    _nnf_literals,
     closure,
-    nnf,
     prop_names,
 )
 from .lasso import LassoWord, evaluate
@@ -390,7 +392,7 @@ class _Split:
     def components(self) -> list[Formula]:
         with self._lock:  # the other solvers wait instead of splitting too
             if self._components is None:
-                g, self.fixed_true = _simplify(nnf(self.formula))
+                g, self.fixed_true = _simplify(*_nnf_literals(self.formula))
                 self._components = _components(g)
         return self._components
 
@@ -441,7 +443,7 @@ def _components(g: Formula) -> list[Formula]:
     return components
 
 
-def _simplify(g: Formula) -> tuple[Formula, frozenset[str]]:
+def _simplify(g: Formula, census: tuple | None = None) -> tuple[Formula, frozenset[str]]:
     """An equisatisfiable reduct of the NNF formula ``g``, and the
     propositions it fixed true: a model of the reduct with those added to
     every state is a model of ``g``.
@@ -449,23 +451,26 @@ def _simplify(g: Formula) -> tuple[Formula, frozenset[str]]:
     Until nothing changes, each proposition that is pure (an NNF formula is
     monotone in each literal: Davis and Putnam's rule) or that a top-level
     conjunct ``false R l`` names in a literal ``l`` (a G-unit) is fixed to
-    that polarity, and the constants this leaves are folded.
+    that polarity, and the constants this leaves are folded.  The first
+    round's literal census is ``census`` when given (the split's NNF pass
+    takes it); a round without one walks the formula once.
     """
     fixed: dict[str, bool] = {}
     while True:
-        pos: set[str] = set()
-        neg: set[str] = set()
-        walked: set[int] = set()  # ids of the compound nodes already walked
-        nodes = [g]
-        for h in nodes:
-            t = type(h)
-            if t is Prop:
-                pos.add(h.name)
-            elif t is Not:
-                neg.add(h.operand.name)
-            elif id(h) not in walked:
-                walked.add(id(h))
-                nodes += h.children()
+        pos, neg = census or (set(), set())
+        if census is None:
+            walked: set[int] = set()  # ids of the compound nodes already walked
+            nodes = [g]
+            for h in nodes:
+                t = type(h)
+                if t is Prop:
+                    pos.add(h.name)
+                elif t is Not:
+                    neg.add(h.operand.name)
+                elif id(h) not in walked and t is not TrueConst and t is not FalseConst:
+                    walked.add(id(h))
+                    nodes += (h.operand,) if t is Next else (h.left, h.right)
+        census = None
         new = {name: name in pos for name in pos ^ neg}
         conjuncts = [g]
         for h in conjuncts:
@@ -487,33 +492,35 @@ _LEFT_UNIT = {And: TrueConst, Or: FalseConst, Until: FalseConst, Release: TrueCo
 
 def _fold(g: Formula, value: dict[str, bool], memo: dict) -> Formula:
     """``g`` with the propositions of ``value`` replaced by constants, and
-    constants and the idempotent ``a op a`` folded; once per distinct
-    subformula (``memo``)."""
+    constants and the idempotent ``a op a`` folded, once per input node
+    (``memo``, by id); the left operand is skipped when the right one decides."""
     t = type(g)
     if t is Prop or t is Not:
         v = value.get(g.name if t is Prop else g.operand.name)
         return g if v is None else TRUE if v == (t is Prop) else FALSE
     if t is TrueConst or t is FalseConst:
         return g
-    h = memo.get(g)
+    h = memo.get(id(g))
     if h is not None:
         return h
     if t is Next:
         a = _fold(g.operand, value, memo)
         h = a if type(a) in (TrueConst, FalseConst) else g if a is g.operand else Next(a)
     else:
-        a, b = _fold(g.left, value, memo), _fold(g.right, value, memo)
-        ta, tb = type(a), type(b)
+        b = _fold(g.right, value, memo)
+        tb = type(b)
         unit, boolean = _LEFT_UNIT[t], t is And or t is Or
-        if ta is unit or a == b:
-            h = b
-        elif tb is TrueConst or tb is FalseConst:  # a U c = a R c = c
-            h = a if boolean and tb is unit else b
-        elif boolean and (ta is TrueConst or ta is FalseConst):
-            h = a
+        if (tb is TrueConst or tb is FalseConst) and not (boolean and tb is unit):
+            h = b  # a & false = false, a | true = true, a U c = a R c = c
         else:
-            h = g if a is g.left and b is g.right else t(a, b)
-    memo[g] = h
+            a = _fold(g.left, value, memo)
+            if type(a) is unit or a == b:
+                h = b
+            elif tb is unit or boolean and type(a) in (TrueConst, FalseConst):
+                h = a
+            else:
+                h = g if a is g.left and b is g.right else t(a, b)
+    memo[id(g)] = h
     return h
 
 

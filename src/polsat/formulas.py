@@ -455,30 +455,38 @@ def nnf(f: Formula) -> Formula:
     """Negation normal form: negations only directly above propositions.
 
     The result uses only True/False/Prop/Not-of-Prop/And/Or/Next/Until/
-    Release and is semantically equivalent to ``f``.  Each compound
-    subformula is normalised once per polarity, so equal subformulas share
-    one result: the result is a DAG linear in the size of ``f``, even where
-    its tree (``<->`` nesting) is exponential.
+    Release and is semantically equivalent to ``f``.  Each input node is
+    normalised once per polarity (the memo is keyed by node identity), so
+    the result is a DAG linear in the size of ``f``, even where its tree
+    (``<->`` nesting) is exponential.
     """
-    return _nnf(f, True, ({}, {}))
+    return _nnf_literals(f)[0]
 
 
-def _nnf(f: Formula, positive: bool, memo: tuple[dict, dict]) -> Formula:
+def _nnf_literals(f: Formula) -> tuple[Formula, tuple[set[str], set[str]]]:
+    """``nnf(f)``, and the names in its positive and its negative literals."""
+    memo: tuple = ({}, {}, set(), set())
+    return _nnf(f, True, memo), (memo[3], memo[2])
+
+
+def _nnf(f: Formula, positive: bool, memo: tuple) -> Formula:
     """``nnf`` of ``f`` or of its negation; ``memo`` holds the results of
-    the negative and the positive polarity, in that order."""
+    the negative and the positive polarity by input node id, then the names
+    of the negative and the positive literals made, in that order."""
     t = type(f)
     if t is Prop:  # leaves are cheap to rebuild and need no memo
+        memo[2 + positive].add(f.name)
         return f if positive else Not(f)
     if t is TrueConst or t is FalseConst:
         return f if positive else (FALSE if t is TrueConst else TRUE)
     done = memo[positive]
-    g = done.get(f)
+    g = done.get(id(f))
     if g is None:
-        g = done[f] = _nnf_step(f, positive, memo)
+        g = done[id(f)] = _nnf_step(f, positive, memo)
     return g
 
 
-def _nnf_step(f: Formula, positive: bool, memo: tuple[dict, dict]) -> Formula:
+def _nnf_step(f: Formula, positive: bool, memo: tuple) -> Formula:
     """One rewrite of ``f`` (of its negation if not ``positive``) into NNF."""
     t = type(f)
     if t is Not:

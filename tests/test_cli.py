@@ -175,6 +175,17 @@ class TestBatchMode:
         assert err.startswith("cannot read bin.ltl: ")
         assert not (tmp_path / "output.txt").exists()
 
+    def test_byte_order_mark_is_not_part_of_the_first_formula(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bom.ltl").write_bytes(b"\xef\xbb\xbfa U b\n")
+        code, out, _ = run_cli(capsys, "-sm", "bom.ltl", "--timeout", "5")
+        assert code == 0
+        assert out[-1] == "The generated file is output.txt."
+        first = (tmp_path / "output.txt").read_text().splitlines()[4]
+        assert first.split("\t")[:2] == ["1", "sat"]
+
     def test_unwritable_report_names_the_report(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "in.ltl").write_text("a U b\n")

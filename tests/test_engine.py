@@ -3,7 +3,7 @@ import threading
 import time
 
 from polsat import engine
-from polsat.bench import gen_O1, gen_random
+from polsat.bench import gen_conjunction, gen_O1, gen_random
 from polsat.engine import (
     Budget,
     _components,
@@ -13,7 +13,7 @@ from polsat.engine import (
     run_strategy,
     tableau_check,
 )
-from polsat.formulas import FALSE, TRUE, And, Iff, Prop, nnf, parse
+from polsat.formulas import FALSE, TRUE, And, Iff, Prop, _nnf_literals, nnf, parse
 from polsat.lasso import evaluate, print_evidence
 
 from conftest import UNDECIDED, binary_counter, child_env, fixture_text, random_formula
@@ -307,6 +307,30 @@ class TestSimplify:
 
     def test_o1_folds_to_false(self):
         assert _simplify(nnf(gen_O1(300)))[0] == FALSE
+
+    def test_reduct_is_a_fixpoint(self):
+        # The first round's census comes from the NNF pass, later ones from
+        # a walk; either way a reduct has nothing left to fix.
+        rng = random.Random(2_020)
+        formulas = [gen_random(rng.randint(5, 60), rng.randint(2, 6), k) for k in range(300)]
+        formulas += [gen_conjunction(rng.randint(1, 12), k) for k in range(100)]
+        for f in formulas:
+            reduct = _simplify(*_nnf_literals(f))[0]
+            again, fixed = _simplify(reduct)
+            assert again is reduct and fixed == frozenset(), f
+
+    def test_a_constant_right_operand_skips_the_left_one(self, monkeypatch):
+        # The final conjunct folds to false with c fixed, so none of the
+        # thousand (a | b) conjuncts before it is visited.
+        calls = []
+
+        def counted(g, value, memo, real=engine._fold):
+            calls.append(g)
+            return real(g, value, memo)
+
+        monkeypatch.setattr(engine, "_fold", counted)
+        assert engine._fold(nnf(gen_O1(1_000)), {"c": True}, {}) == FALSE
+        assert len(calls) <= 5
 
 
 class TestVectorOracle:

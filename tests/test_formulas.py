@@ -238,6 +238,21 @@ class TestNnf:
             w = random_lasso(rng, PROPS)
             assert evaluate(w, f) == evaluate(w, nnf(f))
 
+    def test_iff_chain_stays_a_linear_dag(self):
+        # Its tree has 2^200 nodes; each input node is normalised once per
+        # polarity, so the distinct compound result objects stay linear
+        # (literals are rebuilt per use and are not counted).
+        f = Prop("p200")
+        for i in reversed(range(200)):
+            f = Iff(Prop(f"p{i}"), f)
+        seen, stack = set(), [nnf(f)]
+        while stack:
+            g = stack.pop()
+            if not isinstance(g, (Prop, Not)) and id(g) not in seen:
+                seen.add(id(g))
+                stack.extend(g.children())
+        assert len(seen) <= 8 * 200
+
     def test_idempotent(self):
         rng = random.Random(17)
         for _ in range(300):

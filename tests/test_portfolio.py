@@ -222,7 +222,7 @@ class TestRace:
             assert evaluate(split.sat[i], component)
 
     def test_race_splits_the_formula_once(self, monkeypatch):
-        calls = {"nnf": 0, "_components": 0}
+        calls = {"_nnf_literals": 0, "_components": 0}
         for name in calls:
 
             def counted(g, real=getattr(engine, name), name=name):
@@ -232,7 +232,7 @@ class TestRace:
             monkeypatch.setattr(engine, name, counted)
         result = race(gen_O1(50), internal_solvers(), 30.0)
         assert result.verdict.is_unsat and result.winner == "tableau"
-        assert calls == {"nnf": 1, "_components": 1}
+        assert calls == {"_nnf_literals": 1, "_components": 1}
 
     def test_sat_components_do_not_decide_an_undecided_one(self):
         fresh = " & ".join(f"(F x{i} | G y{i})" for i in range(10))
