@@ -136,11 +136,14 @@ def invoke(
     argument.  The solver leads a new session, so its process group holds
     its descendants too.  On timeout or cancellation that whole group is
     terminated, then killed after ``GRACE_SECONDS`` if the solver is still
-    alive.  A timed-out run costs exactly ``timeout``.
+    alive; a cancel set before the spawn starts no process.  A timed-out
+    run costs exactly ``timeout``.
     """
     text = render(formula)
     start = time.monotonic()
     deadline = start + timeout
+    if cancel is not None and cancel.is_set():  # set before or while rendering
+        return RunRecord(spec.name, Verdict.cancelled(), 0.0)
     try:
         proc = subprocess.Popen(
             [spec.path, text],

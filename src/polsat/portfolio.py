@@ -1,8 +1,9 @@
 """Race solvers on one formula; first definitive verdict wins.
 
 Every configured solver runs on its own thread.  The first Sat/Unsat
-answer decides the result and every other solver is cancelled (internal
-solvers via a flag, external processes via terminate-then-kill).
+answer decides the result; its thread cancels every other solver before it
+reports (internal solvers via a flag, external processes via
+terminate-then-kill), and a solver not yet started then never starts.
 ``run_all`` instead lets every solver finish and :func:`arbitrate` checks
 the answers for consistency, which is what makes the portfolio usable as a
 solver-testing platform.
@@ -14,10 +15,10 @@ Both start solvers through one launcher.  It names every record after its
 :class:`SolverSpec`, turns a solver that raises into an Unknown(solver-error)
 record, and applies one accounting rule: a timed-out run costs exactly the
 timeout, and any other run costs at most the timeout plus ``GRACE_SECONDS``.
-It is also the one place a sat witness is checked: a record whose witness
-does not satisfy the formula keeps its sat verdict, loses the witness, and
-says so in its ``detail``, so races, ``run_all`` and :func:`arbitrate` all
-read the same checked records.
+It is also the one place a sat witness is checked, before its record can
+decide a race: a record whose witness does not satisfy the formula keeps
+its sat verdict, loses the witness, and says so in its ``detail``, so
+races, ``run_all`` and :func:`arbitrate` all read the same checked records.
 
 Solver threads are reused across races; a new one starts only when none is
 idle, and one idle for ``GRACE_SECONDS`` exits.  At interpreter exit, runs
@@ -34,7 +35,7 @@ import math
 import queue
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .engine import _RACE_SPLIT, _STRATEGIES, Budget, Verdict, _Split, run_strategy
@@ -186,16 +187,19 @@ def _launch(
     timeout: float,
     cancels: list[threading.Event],
     split: _Split | None = None,
+    decides: Callable[[Verdict], bool] | None = None,
 ) -> Iterator[tuple[int, RunRecord]]:
     """Run each solver on a solver thread and yield ``(index, record)``.
 
     Nothing starts before the first record is asked for.  Every record is
     named after its :class:`SolverSpec`; a ``run`` that raises becomes
     Unknown(solver-error); a sat witness that does not satisfy ``formula`` is
-    dropped, and the record's detail says so.  Records that arrive together
-    come lowest index first.  The iterator ends once every solver has
-    reported, or ``2 * GRACE_SECONDS`` after the timeout: time for a kill to
-    escalate and for the killed process to be reaped.
+    dropped, and the record's detail says so.  A record whose verdict
+    ``decides`` sets every cancel before it is posted; a run whose cancel is
+    set when it is due to start is skipped as Unknown(cancelled), elapsed 0.
+    Records that arrive together come lowest index first.  The iterator ends
+    once every solver has reported, or ``2 * GRACE_SECONDS`` after the
+    timeout: time for a kill to escalate and for the process to be reaped.
     """
     if not solvers:
         raise ValueError("no solvers configured")
@@ -211,14 +215,24 @@ def _launch(
         _RACE_SPLIT.set(split)  # seen by run_strategy in this run only
         start = time.monotonic()
         try:
-            record = spec.run(formula, timeout, cancels[i])
-            verdict, elapsed = record.verdict, record.elapsed
+            if cancels[i].is_set():  # the race is decided: start nothing
+                verdict, elapsed = Verdict.cancelled(), 0.0
+            else:
+                record = spec.run(formula, timeout, cancels[i])
+                verdict, elapsed = record.verdict, record.elapsed
+                witness = verdict.evidence
+                if verdict.is_sat and witness is not None and not evaluate(witness, formula):
+                    log.warning("solver %s returned invalid evidence; dropped", spec.name)
+                    verdict = Verdict("sat", detail=_REJECTED)
         except Exception as exc:  # a solver bug must not kill the race
             log.exception("solver %s failed", spec.name)
             verdict = Verdict.error(f"{type(exc).__name__}: {exc}")
             elapsed = time.monotonic() - start
         if verdict.is_timeout:
             elapsed = timeout
+        if decides is not None and decides(verdict):
+            for event in cancels:
+                event.set()
         results.put((i, RunRecord(spec.name, verdict, min(elapsed, timeout + GRACE_SECONDS))))
 
     for i, spec in enumerate(solvers):
@@ -233,12 +247,7 @@ def _launch(
         while not results.empty():  # this generator is the only reader
             arrived.append(results.get_nowait())
         pending -= len(arrived)
-        for i, record in sorted(arrived, key=lambda item: item[0]):
-            witness = record.verdict.evidence
-            if record.verdict.is_sat and witness is not None and not evaluate(witness, formula):
-                log.warning("solver %s returned invalid evidence; dropped", record.solver)
-                record = replace(record, verdict=Verdict("sat", detail=_REJECTED))
-            yield i, record
+        yield from sorted(arrived, key=lambda item: item[0])
 
 
 def race(
@@ -249,22 +258,27 @@ def race(
 ) -> PortfolioResult:
     """Run all solvers concurrently; the first definitive verdict wins.
 
-    On a win every other worker is cancelled.  If ``want_evidence`` is set
-    and the winner has no evidence for a sat verdict, evidence-capable
-    solvers keep running until one produces a witness that passes the
-    launcher's check, or the timeout expires; the witness producer then
-    becomes the winner.  If no solver answers, the result is
-    Unknown(timeout) with winner ``"none"``.
+    On a win every other worker is cancelled, by the winner's own thread
+    when its verdict settles the race, and one not yet started never starts.
+    If ``want_evidence`` is set and the winner has no evidence for a sat
+    verdict, evidence-capable solvers keep running until one produces a
+    witness that passes the launcher's check, or the timeout expires; the
+    witness producer then becomes the winner.  If no solver answers, the
+    result is Unknown(timeout) with winner ``"none"``.
     The internal solvers split the formula once and share per-component
     sat results; unsat still rests on the tableau's own check.
     """
     cancels = [threading.Event() for _ in solvers]
+
+    def decides(verdict: Verdict) -> bool:  # ends the loop below whenever it arrives
+        return verdict.is_definitive and not (want_evidence and verdict.evidence is None)
+
     pending = set(range(len(solvers)))
     received: list[RunRecord] = []
     winner: RunRecord | None = None
 
     try:
-        for i, record in _launch(formula, solvers, timeout, cancels, _Split(formula)):
+        for i, record in _launch(formula, solvers, timeout, cancels, _Split(formula), decides):
             pending.discard(i)
             received.append(record)
             verdict = record.verdict

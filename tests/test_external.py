@@ -145,6 +145,17 @@ class TestInvoke:
         assert not t.is_alive()
         assert out["record"].verdict.reason == "cancelled"
 
+    def test_cancel_set_before_the_spawn_starts_nothing(self, stub_dir, tmp_path):
+        log = tmp_path / "started"
+        spec = ExternalSolverSpec(stub_dir("logger", f"#!/bin/sh\ntouch {log}\necho sat\n"))
+        cancel = threading.Event()
+        cancel.set()
+        record = invoke(spec, parse("a"), 10.0, cancel)
+        assert record.verdict.reason == "cancelled"
+        assert record.elapsed == 0.0
+        time.sleep(0.2)  # time for a started stub to leave its log
+        assert not log.exists()
+
     def test_cancel_kills_the_whole_process_group(self, stub_dir, tmp_path):
         # The wrapper's sleep is a grandchild of the caller; cancelling must
         # reach it as well as the shell.

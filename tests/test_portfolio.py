@@ -159,6 +159,42 @@ class TestRace:
         assert result.verdict.is_sat
         assert result.verdict.evidence is None
 
+    def test_unsat_neither_wins_nor_ends_an_evidence_hunt(self):
+        # A bare sat starts the hunt, an unsat arrives during it, and a
+        # witness that honours its cancel arrives last: only a cancel from
+        # the unsat could keep the witness from winning.
+        def witness(formula, timeout, cancel):
+            if cancel.wait(0.4):
+                return RunRecord("witness", Verdict.cancelled(), 0.4)
+            return RunRecord("witness", Verdict.sat(LassoWord([], [{"a"}])), 0.4)
+
+        solvers = [
+            scripted_solver("bare", Verdict.sat(None), 0.0),
+            scripted_solver("no", Verdict.unsat(), 0.2),
+            SolverSpec("witness", "external", witness),
+        ]
+        result = race(parse("a"), solvers, 10.0, want_evidence=True)
+        assert result.winner == "witness"
+        assert result.verdict.evidence == LassoWord([], [{"a"}])
+        assert [r.solver for r in result.records] == ["bare", "no", "witness"]
+
+    def test_lying_witness_cannot_settle_the_race(self):
+        def honest(formula, timeout, cancel):
+            if cancel.wait(0.3):
+                return RunRecord("honest", Verdict.cancelled(), 0.3)
+            return RunRecord("honest", Verdict.sat(LassoWord([], [{"p"}])), 0.3)
+
+        solvers = [
+            scripted_solver("liar", Verdict.sat(LassoWord([], [{"q"}])), 0.0),
+            SolverSpec("honest", "external", honest),
+        ]
+        result = race(parse("G p"), solvers, 10.0, want_evidence=True)
+        assert result.winner == "honest"
+        assert result.verdict.evidence == LassoWord([], [{"p"}])
+        liar = next(r for r in result.records if r.solver == "liar")
+        assert liar.verdict.is_sat and liar.verdict.evidence is None
+        assert liar.verdict.detail == portfolio._REJECTED
+
     def test_no_solvers_is_an_error(self):
         with pytest.raises(ValueError):
             race(parse("a"), [], 1.0)
@@ -336,28 +372,58 @@ class TestSolverThreads:
                 super().__init__(formula)
                 splits.append(weakref.ref(self))
 
-        returned = threading.Semaphore(0)
-
-        def counted(spec):
-            def run(formula, timeout, cancel):
-                try:
-                    return spec.run(formula, timeout, cancel)
-                finally:
-                    returned.release()
-
-            return replace(spec, run=run)
-
         monkeypatch.setattr(portfolio, "_Split", TrackedSplit)
-        solvers = [counted(spec) for spec in internal_solvers()]
-        assert race(parse(SPLIT), solvers, 10.0).verdict.is_sat
-        for _ in solvers:
-            assert returned.acquire(timeout=10.0)
+        assert race(parse(SPLIT), internal_solvers(), 10.0).verdict.is_sat
+        # Wait for every run, started or skipped, to be done.
+        deadline = time.monotonic() + 10.0
+        while portfolio._busy and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert portfolio._busy == 0
         # An idle thread that kept the split would hold it for GRACE_SECONDS.
         deadline = time.monotonic() + GRACE_SECONDS / 2
         while splits[0]() is not None and time.monotonic() < deadline:
             gc.collect()
             time.sleep(0.01)
         assert len(splits) == 1 and splits[0]() is None
+
+    def test_run_whose_cancel_is_set_never_starts(self):
+        started = []
+
+        def run(formula, timeout, cancel):
+            started.append(True)
+            return RunRecord("skipped", Verdict.sat(None), 0.0)
+
+        solvers = [
+            scripted_solver("first", Verdict.unsat(), 0.0),
+            SolverSpec("skipped", "external", run),
+        ]
+        cancels = [threading.Event(), threading.Event()]
+        cancels[1].set()
+        records = dict(portfolio._launch(parse("a"), solvers, 5.0, cancels))
+        assert started == []
+        assert records[1] == RunRecord("skipped", Verdict.cancelled(), 0.0)
+        assert records[0] == RunRecord("first", Verdict.unsat(), 0.0)
+
+    def test_deciders_racing_to_cancel_leave_a_definitive_winner(self):
+        # Six solvers that all answer unless cancelled cancel one another
+        # from their own threads, under a short switch interval.
+        def polite(name):
+            def run(formula, timeout, cancel):
+                verdict = Verdict.cancelled() if cancel.is_set() else Verdict.unsat()
+                return RunRecord(name, verdict, 0.0)
+
+            return SolverSpec(name, "internal", run)
+
+        solvers = [polite(f"polite{i}") for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = [race(parse("a"), solvers, 5.0) for _ in range(50)]
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert result.verdict.is_unsat and result.winner.startswith("polite")
+            assert result.records[-1].solver == result.winner
 
     def test_no_run_waits_behind_a_busy_thread(self):
         def stubborn(name):
