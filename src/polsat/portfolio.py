@@ -4,8 +4,11 @@ Every configured solver runs on its own thread.  The first Sat/Unsat
 answer decides the result; its thread cancels every other solver before it
 reports (internal solvers via a flag, external processes via
 terminate-then-kill), and a solver not yet started then never starts.
-``run_all`` instead lets every solver finish and :func:`arbitrate` checks
-the answers for consistency, which is what makes the portfolio usable as a
+A race's first solver runs alone for one switch interval, as long as a
+CPU-bound thread holds the interpreter lock anyway, so a race it settles
+that fast wakes no other thread and spawns no process.  ``run_all``
+instead lets every solver finish and :func:`arbitrate` checks the answers
+for consistency, which is what makes the portfolio usable as a
 solver-testing platform.
 
 In a race the internal solvers split the formula once and share which
@@ -33,6 +36,7 @@ import contextvars
 import logging
 import math
 import queue
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -191,7 +195,10 @@ def _launch(
 ) -> Iterator[tuple[int, RunRecord]]:
     """Run each solver on a solver thread and yield ``(index, record)``.
 
-    Nothing starts before the first record is asked for.  Every record is
+    Nothing starts before the first record is asked for, and in a race
+    (``decides`` given) only ``solvers[0]`` starts then: the rest start when
+    a second record is asked for or ``sys.getswitchinterval()`` passes with
+    none, so never if the generator is closed first.  Every record is
     named after its :class:`SolverSpec`; a ``run`` that raises becomes
     Unknown(solver-error); a sat witness that does not satisfy ``formula`` is
     dropped, and the record's detail says so.  A record whose verdict
@@ -235,19 +242,27 @@ def _launch(
                 event.set()
         results.put((i, RunRecord(spec.name, verdict, min(elapsed, timeout + GRACE_SECONDS))))
 
-    for i, spec in enumerate(solvers):
-        _submit(spec.name, worker, i, spec)
+    started = 1 if decides is not None else len(solvers)  # a race's head start
+    for i in range(started):
+        _submit(solvers[i].name, worker, i, solvers[i])
     pending = len(solvers)
     while pending:
+        wait = max(0.0, give_up - time.monotonic())
+        if started < len(solvers):
+            wait = min(wait, sys.getswitchinterval())
         try:
-            wait = max(0.0, give_up - time.monotonic())
             arrived = [results.get(timeout=min(wait, threading.TIMEOUT_MAX))]
         except queue.Empty:
-            return
+            if started == len(solvers):
+                return
+            arrived = []
         while not results.empty():  # this generator is the only reader
             arrived.append(results.get_nowait())
         pending -= len(arrived)
         yield from sorted(arrived, key=lambda item: item[0])
+        for i in range(started, len(solvers)):  # the head start is over
+            _submit(solvers[i].name, worker, i, solvers[i])
+        started = len(solvers)
 
 
 def race(
@@ -258,8 +273,9 @@ def race(
 ) -> PortfolioResult:
     """Run all solvers concurrently; the first definitive verdict wins.
 
-    On a win every other worker is cancelled, by the winner's own thread
-    when its verdict settles the race, and one not yet started never starts.
+    ``solvers[0]`` gets a head start of one switch interval.  On a win every
+    other worker is cancelled, by the winner's own thread when its verdict
+    settles the race, and one not yet started never starts.
     If ``want_evidence`` is set and the winner has no evidence for a sat
     verdict, evidence-capable solvers keep running until one produces a
     witness that passes the launcher's check, or the timeout expires; the

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from polsat.bench import gen_O1
+from polsat.cli import _solver_set
 from polsat.external import (
     ENV_REGISTRY,
     ExternalSolverSpec,
@@ -222,6 +224,20 @@ class TestProcessHygiene:
                 break
             time.sleep(0.05)
         assert not leftovers
+
+    def test_race_decided_in_the_head_start_starts_no_process(
+        self, stub_dir, registry_path, tmp_path
+    ):
+        log = tmp_path / "started"
+        register(stub_dir("logger", f"#!/bin/sh\ntouch {log}\necho unsat\n"))
+        solvers = _solver_set()
+        assert solvers[-1].name == "logger"
+        # tableau decides each race in about a millisecond, inside its head
+        # start; without one, about every other race would start the stub.
+        for _ in range(20):
+            assert race(gen_O1(100), solvers, 10.0).winner == "tableau"
+        time.sleep(0.2)  # time for a started stub to leave its log
+        assert not log.exists()
 
     @requires_proc
     def test_no_solver_outlives_the_cli(self, stub_dir, tmp_path):

@@ -88,6 +88,16 @@ class TestRace:
         assert result.winner == "fastsat"
         assert elapsed < 1.0
 
+    def test_stub_wins_while_the_first_solver_is_busy(self, stub_solver):
+        # tableau holds the interpreter through its head start and beyond; the
+        # stub must still start soon after it and answer first.
+        instant = stub_solver("instant", sh_stub(["unsat"]))
+        t0 = time.monotonic()
+        result = race(parse(UNDECIDED), internal_solvers() + [instant], 30.0)
+        elapsed = time.monotonic() - t0
+        assert result.winner == "instant"
+        assert elapsed < 1.0
+
     def test_sleeper_only_times_out_with_exact_accounting(self, stub_solver):
         slow = stub_solver("slowpoke", sleeper_stub(5))
         result = race(parse("a U b"), [slow], 0.2)
@@ -117,8 +127,9 @@ class TestRace:
         assert result.verdict.evidence == LassoWord([], [{"b"}])
 
     def test_evidence_hunt_cancels_only_solvers_without_evidence(self):
-        # "bare" wins without evidence; the hunt cancels "mute", which cannot
-        # give evidence, and lets "witness" run on to answer with a lasso.
+        # "bare" wins without evidence, after the head start; the hunt cancels
+        # "mute", which cannot give evidence, and lets "witness" run on to
+        # answer with a lasso.
         muted = threading.Event()
         witness_cancelled = []
 
@@ -133,13 +144,36 @@ class TestRace:
             return RunRecord("witness", Verdict.sat(LassoWord([], [{"a"}])), 0.0)
 
         solvers = [
-            scripted_solver("bare", Verdict.sat(None), 0.0),
+            scripted_solver("bare", Verdict.sat(None), 0.05),
             SolverSpec("mute", "external", mute, supports_evidence=False),
             SolverSpec("witness", "external", witness),
         ]
         result = race(parse("a"), solvers, 10.0, want_evidence=True)
         assert muted.is_set()
         assert witness_cancelled == [False]
+        assert result.winner == "witness"
+        assert result.verdict.evidence == LassoWord([], [{"a"}])
+
+    def test_evidence_hunt_inside_the_head_start_never_calls_the_cancelled(self):
+        # "bare" answers before the others are submitted: the hunt cancels
+        # "mute" before its run is due, so it is skipped, not called.
+        called = []
+
+        def mute(formula, timeout, cancel):
+            called.append(True)
+            return RunRecord("mute", Verdict.cancelled(), 0.0)
+
+        def witness(formula, timeout, cancel):
+            return RunRecord("witness", Verdict.sat(LassoWord([], [{"a"}])), 0.0)
+
+        solvers = [
+            scripted_solver("bare", Verdict.sat(None), 0.0),
+            SolverSpec("mute", "external", mute, supports_evidence=False),
+            SolverSpec("witness", "external", witness),
+        ]
+        result = race(parse("a"), solvers, 10.0, want_evidence=True)
+        assert called == []
+        assert RunRecord("mute", Verdict.cancelled(), 0.0) in result.records
         assert result.winner == "witness"
         assert result.verdict.evidence == LassoWord([], [{"a"}])
 
@@ -338,10 +372,11 @@ class TestSolverThreads:
         f = parse("a U b")
         used, names, ended = set(), set(), [0.0]
 
-        def recorded(spec):
+        def recorded(spec, delay=0.0):
             def run(formula, timeout, cancel):
                 used.add(threading.get_ident())
                 names.add(threading.current_thread().name)
+                cancel.wait(delay)  # outlast the head start: every solver starts
                 try:
                     return spec.run(formula, timeout, cancel)
                 finally:
@@ -349,7 +384,8 @@ class TestSolverThreads:
 
             return replace(spec, run=run)
 
-        solvers = [recorded(spec) for spec in internal_solvers()]
+        first, *rest = internal_solvers()
+        solvers = [recorded(first, 0.02)] + [recorded(spec) for spec in rest]
         for _ in range(20):
             assert race(f, solvers, 10.0).verdict.is_sat
         # A thread per solver per race would be 60.  Cancelled solvers still
@@ -403,6 +439,23 @@ class TestSolverThreads:
         assert started == []
         assert records[1] == RunRecord("skipped", Verdict.cancelled(), 0.0)
         assert records[0] == RunRecord("first", Verdict.unsat(), 0.0)
+
+    def test_first_solver_deciding_in_its_head_start_runs_alone(self):
+        calls = []
+
+        def counted(name):
+            def run(formula, timeout, cancel):
+                calls.append(name)
+                return RunRecord(name, Verdict.unsat(), 0.0)
+
+            return SolverSpec(name, "internal", run)
+
+        solvers = [counted("first"), counted("second"), counted("third")]
+        for _ in range(20):
+            result = race(parse("a"), solvers, 5.0)
+            assert result.winner == "first"
+            assert result.records == (RunRecord("first", Verdict.unsat(), 0.0),)
+        assert calls == ["first"] * 20
 
     def test_deciders_racing_to_cancel_leave_a_definitive_winner(self):
         # Six solvers that all answer unless cancelled cancel one another
